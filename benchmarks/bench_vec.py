@@ -1,30 +1,39 @@
-"""Transition-table stepper bench — table walk vs closure dispatch.
+"""Stepper bench — native walk vs closure dispatch.
 
-PR 9 lowered the protocol automaton into the ``char_trans`` tensor: the
-flat engine's hot loop executes dense int64 rows directly and only
-escapes to the per-code closures for configurations the tables do not
-own.  This bench measures both sides of that split on the *same engine
-class* — the control engine clears ``TABLE_WALK`` so every delivery
-takes the closure dispatch the production engine uses as its escape
-path — and records the per-hop speedup the table walk buys.  In-bench
-asserts pin tick counts, hop counts and byte-identical root transcripts
-across both paths *and* the object backend, so neither side can drift
-semantically while getting faster.
+The flat engine has two stepper paths: the native walk, which resolves
+each delivery at a table-automaton node by one load from the kernel's
+``char_trans`` tensor in compiled code (``repro/sim/_stepper.c``), and the
+closure dispatch it falls back to when the extension cannot be built.
+This bench measures both on the *same engine class* — the control engine
+clears ``TABLE_WALK`` so every delivery takes the per-code closures — and
+records the per-hop speedup of the native walk.  In-bench asserts pin
+tick counts, hop counts and byte-identical root transcripts across both
+paths *and* the object backend, so neither side can drift semantically
+while getting faster.
 
-The lane sweep at the bottom rides the same tables through the batch
+Only the ratio ``native_walk_speedup`` is a gated metric: both sides run
+back to back on one host, so it travels across machines.  The two
+absolute rates are recorded in the baseline's ``meta`` with the host they
+were measured on.
+
+The lane sweep at the bottom rides the same stepper through the batch
 backend: S ∈ {1, 4, 16, 64} lock-step lanes of the full GTD on one
-shared compiled topology, each lane's scalar stepper walking the one
-mmap-able transition tensor.  Per-lane parity against the solo flat run
-is asserted before any number is recorded.  The sweep needs numpy (the
+shared compiled topology.  Per-lane parity against the solo flat run is
+asserted before any number is recorded.  The sweep needs numpy (the
 ``[batch]`` extra); those cases skip cleanly without it.
 """
 
 from __future__ import annotations
 
+import os
+import platform
+import sys
+
 import pytest
 
 from repro import determine_topology
 from repro.protocol.gtd import GTDProcessor
+from repro.sim import native
 from repro.sim.batchcore import BatchEngine, LaneRun, have_numpy
 from repro.sim.flatcore import FlatEngine
 from repro.sim.run import ENGINE_BACKENDS
@@ -34,11 +43,11 @@ from _report import bench_metric, report
 
 
 class _ClosureDispatchFlatEngine(FlatEngine):
-    """Flat engine with the transition-table walk disabled (bench control).
+    """Flat engine with the native walk disabled (bench control).
 
     Every delivery runs the per-code closure handlers — exactly the path
-    the production stepper escapes to for interceptions, KILL floods and
-    loop tokens, here promoted to 100% of traffic.
+    the native walk escapes to for interceptions, KILL floods and loop
+    tokens, here promoted to 100% of traffic.
     """
 
     TABLE_WALK = False
@@ -46,22 +55,40 @@ class _ClosureDispatchFlatEngine(FlatEngine):
 
 #: bench-local backend name; registered so the production run pipeline
 #: (pooling, budgets, reconstruction) drives the control engine unchanged
-ENGINE_BACKENDS.setdefault("flat-nowalk", _ClosureDispatchFlatEngine)
+ENGINE_BACKENDS.setdefault("flat-closure", _ClosureDispatchFlatEngine)
 
 #: lane counts of the batch sweep (64 lanes of de_bruijn(2,4) fit easily;
 #: the point is the per-lane overhead curve, not peak memory)
 LANE_SWEEP = (1, 4, 16, 64)
 
 
+def _host() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next(
+                line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")
+            )
+    except (OSError, StopIteration):
+        pass
+    return {
+        "host_python": platform.python_version(),
+        "host_implementation": sys.implementation.name,
+        "host_platform": platform.platform(),
+        "host_cpu": cpu,
+        "host_nproc": os.cpu_count(),
+    }
+
+
 def _transcript_bytes(result) -> bytes:
     return "\n".join(repr(e) for e in result.transcript.events()).encode()
 
 
-#: metric name -> (hops, rate, transcript bytes), filled as tests run
+#: side -> (hops, rate, transcript bytes), filled as tests run
 _SIDES: dict[str, tuple[int, float, bytes]] = {}
 
 
-def _measure_side(benchmark, *, backend: str, metric: str) -> None:
+def _measure_side(benchmark, *, backend: str, side: str) -> None:
     graph = generators.de_bruijn(2, 4)  # N=16, E=32, D=4
     reference = determine_topology(graph, backend="object")
 
@@ -78,41 +105,54 @@ def _measure_side(benchmark, *, backend: str, metric: str) -> None:
     rate = hops / benchmark.stats["mean"]
     benchmark.extra_info["character_hops"] = hops
     benchmark.extra_info["hops_per_second"] = int(rate)
-    _SIDES[metric] = (hops, rate, _transcript_bytes(result))
-    bench_metric("vec", metric, rate, unit="hops/s", meta={"character_hops": hops})
+    _SIDES[side] = (hops, rate, _transcript_bytes(result))
     report(
         "vec",
-        f"VEC [{backend}] full protocol on de_bruijn(2,4): {hops} "
+        f"VEC [{side}] full protocol on de_bruijn(2,4): {hops} "
         f"character-hops, {rate:,.0f} hops/s wall-clock",
     )
 
 
-def test_vec_table_walk_throughput(benchmark):
-    """Production flat engine: the transition tables serve the hot loop."""
-    _measure_side(benchmark, backend="flat", metric="table_walk_hops_per_second")
+def test_vec_native_walk_throughput(benchmark):
+    """Production flat engine: the native walk serves the hot loop."""
+    if native.load() is None:
+        pytest.fail(
+            f"native stepper unavailable ({native.status()[1]}); "
+            "build it with tools/build_native.py"
+        )
+    _measure_side(benchmark, backend="flat", side="native_walk")
 
 
 def test_vec_closure_dispatch_throughput(benchmark):
     """Control: same engine, every hop through the closure dispatch.
 
-    Runs after the table-walk side (file order), so it also reports the
-    per-hop split — the headline number of the lowering — and asserts
-    both paths moved identical traffic.
+    Runs after the native side (file order), so it also records the
+    per-hop split — the gated ratio — and asserts both paths moved
+    identical traffic.
     """
-    _measure_side(
-        benchmark, backend="flat-nowalk", metric="closure_hops_per_second"
-    )
-    walk = _SIDES.get("table_walk_hops_per_second")
-    closure = _SIDES["closure_hops_per_second"]
+    _measure_side(benchmark, backend="flat-closure", side="closure")
+    walk = _SIDES.get("native_walk")
+    closure = _SIDES["closure"]
     if walk is None:  # partial -k run; nothing to compare against
         return
     assert walk[0] == closure[0], "hop-count divergence between stepper paths"
     assert walk[2] == closure[2], "transcript divergence between stepper paths"
     ratio = walk[1] / closure[1]
-    bench_metric("vec", "table_walk_speedup", ratio, unit="x")
+    bench_metric(
+        "vec",
+        "native_walk_speedup",
+        ratio,
+        unit="x",
+        meta={
+            "character_hops": walk[0],
+            "native_walk_hops_per_second": walk[1],
+            "closure_hops_per_second": closure[1],
+            **_host(),
+        },
+    )
     report(
         "vec",
-        f"VEC split: table walk {walk[1]:,.0f} hops/s vs closure dispatch "
+        f"VEC split: native walk {walk[1]:,.0f} hops/s vs closure dispatch "
         f"{closure[1]:,.0f} hops/s = {ratio:.2f}x per-hop speedup",
     )
 

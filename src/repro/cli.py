@@ -373,6 +373,16 @@ def _run_map_profiled(args: argparse.Namespace) -> int:
     return code
 
 
+def _stepper_label(backend: str) -> str:
+    """Which stepper ran a ``map``: ``native``, or ``closure (<reason>)``."""
+    if backend == "object":
+        return "object"
+    from repro.sim import native
+
+    kind, reason = native.status()
+    return kind if reason is None else f"{kind} ({reason})"
+
+
 def _run_map(args: argparse.Namespace) -> int:
     if args.repeats > 1:
         return _run_map_sweep(args)
@@ -394,7 +404,7 @@ def _run_map(args: argparse.Namespace) -> int:
         f"ticks={result.ticks}  D={result.diameter}  N*D="
         f"{graph.num_nodes * max(1, result.diameter)}  "
         f"RCAs={result.rca_runs}  BCAs={result.bca_runs}  "
-        f"exact={result.matches(graph)}"
+        f"exact={result.matches(graph)}  stepper={_stepper_label(args.backend)}"
     )
     if args.traffic:
         print()
@@ -481,7 +491,8 @@ def _run_map_timeline(args: argparse.Namespace) -> int:
         f"outcome={result.outcome.value}  ended in phase '{result.phase}'  "
         f"ticks={result.ticks}  hops={result.hops}  "
         f"lost={result.lost_characters}  "
-        f"ops applied={result.applied_ops}/{len(program.ops)}"
+        f"ops applied={result.applied_ops}/{len(program.ops)}  "
+        f"stepper={_stepper_label(args.backend)}"
     )
     if args.traffic:
         print()

@@ -17,11 +17,9 @@ in-port table), advancing all lanes in lock-step bursts driven by numpy
   tests (the per-lane metrics flush).
 
 The per-event protocol work inside a lane is exactly the flat backend's
-— including its transition-table stepper, which every lane executes over
-the one shared ``char_trans`` program (exposed here as a zero-copy numpy
-tensor via :meth:`BatchLaneMixin.trans_tensor`, with ``(S,)`` cross-lane
-row gathers through :meth:`BatchLaneMixin.gather_rows`): each lane owns
-a :class:`~repro.sim.flatcore.FlatEngine` data plane (lane 0 is the
+— including its native stepper, which every lane runs over the one
+shared ``char_trans`` program: each lane owns a
+:class:`~repro.sim.flatcore.FlatEngine` data plane (lane 0 is the
 batch engine itself), so every decoded lane is **byte-identical** to a
 solo ``flat`` run of the same scenario — the parity contract the
 differential fuzz suite enforces.  What batching
@@ -44,6 +42,7 @@ it.
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,16 +57,16 @@ from repro.sim.characters import (
     KFLAG_SNAKE,
     KFLAG_SPEED3,
     KFLAG_TAIL,
-    n_phases,
 )
 from repro.sim.flatcore import FlatEngine
 from repro.sim.processor import Processor
 from repro.topology.portgraph import PortGraph
 
-try:  # pragma: no cover - exercised via have_numpy() in both states
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+#: numpy once :func:`require_numpy` resolved it on first batch use (None
+#: when absent) — never imported with this module, so the CLI and every
+#: non-batch run start without it
+_UNRESOLVED = object()
+_np = _UNRESOLVED
 
 __all__ = [
     "have_numpy",
@@ -128,11 +127,19 @@ _BURST = 1024
 
 def have_numpy() -> bool:
     """Whether the optional ``[batch]`` dependency is importable."""
+    if _np is _UNRESOLVED:
+        return importlib.util.find_spec("numpy") is not None
     return _np is not None
 
 
 def require_numpy() -> None:
-    """Raise a :class:`ReproError` pointing at the extra when numpy is absent."""
+    """Import numpy, or raise a :class:`ReproError` pointing at the extra."""
+    global _np
+    if _np is _UNRESOLVED:
+        try:
+            import numpy as _np
+        except ImportError:
+            _np = None
     if _np is None:
         raise ReproError(
             "the 'batch' engine backend requires numpy, which is not "
@@ -304,61 +311,6 @@ class BatchLaneMixin:
         """
         require_numpy()
         return self._classify_lanes()
-
-    # ------------------------------------------------------------------
-    # vectorized transition-table views
-    # ------------------------------------------------------------------
-    def trans_tensor(self):
-        """The automaton's transition program as a ``(K, delta+1, P)`` tensor.
-
-        A zero-copy ``numpy`` view over the compiled topology's
-        ``char_trans`` table (mmap-backed when served from the artifact
-        library, so all lanes — and all processes — share one physical
-        copy): axis 0 is the character code, axis 1 the arrival in-port,
-        axis 2 the family-bank phase.  Row values follow the encoding in
-        :mod:`repro.sim.characters` — 0 drops, negative escapes with the
-        filled code fused in, positive rows carry op/phase/port/code
-        fields.  This is the same program each lane's scalar table walk
-        executes; the tensor form exists for cross-lane gathers.
-        """
-        require_numpy()
-        topo = self._topo
-        k = len(topo.char_flags)
-        return _np.frombuffer(topo.char_trans, dtype=_np.int64).reshape(
-            k, topo.delta + 1, n_phases(topo.delta)
-        )
-
-    def gather_rows(self, codes, in_ports, phases):
-        """One vectorized gather of ``S`` transition rows.
-
-        ``codes``, ``in_ports`` and ``phases`` are ``(S,)`` vectors (one
-        entry per lane); the result is the ``(S,)`` int64 row vector
-        ``trans[codes, in_ports, phases]`` — every lane's next transition
-        resolved in a single numpy indexing operation, no per-lane Python.
-        Negative entries mark lanes that must fall back to the scalar
-        escape path; callers mask them out and finish those lanes
-        scalar-style.
-        """
-        require_numpy()
-        return self.trans_tensor()[
-            _np.asarray(codes, dtype=_np.int64),
-            _np.asarray(in_ports, dtype=_np.int64),
-            _np.asarray(phases, dtype=_np.int64),
-        ]
-
-    def lane_phase_matrix(self):
-        """Every lane's shadow phase registers as an ``(S, N*6)`` matrix.
-
-        Row ``i`` is lane ``i``'s per-node, per-family-bank phase vector
-        as of its last table-walked delivery (see
-        :meth:`~repro.sim.flatcore.FlatEngine._tw_sync` for the register
-        derivation).  Pairs with :meth:`gather_rows` to resolve one
-        node's next transition across all lanes at once.
-        """
-        require_numpy()
-        return _np.array(
-            [eng._tw_phase for eng in self.lane_engines], dtype=_np.int64
-        )
 
     def _reset_lane_registers(self) -> None:
         self._lane_state[:] = 0

@@ -19,8 +19,8 @@ on dense integer tables instead of Python object graphs:
   small integer code with one canonical :class:`~repro.sim.characters.Char`
   instance, so the wheel stores plain ints and delivery never allocates;
 * the event wheel (:class:`PackedEventWheel`) replaces the object wheel's
-  per-character tuples with ring-recycled ``array('q')`` lanes of packed
-  64-bit entries.  The precomputed kind-priority rides in the top bits::
+  per-character tuples with ring-recycled per-node lanes (plain lists) of
+  packed 64-bit entries.  The precomputed kind-priority rides in the top bits::
 
       bit 56..57   in-tick handling priority (KIND_PRIORITY of the code)
       bit 40..55   arrival in-port
@@ -41,7 +41,6 @@ the base engine — this module replaces only the data plane.
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterator
 
 from repro.errors import SimulationError
@@ -50,8 +49,6 @@ from repro.sim.characters import (
     STAR,
     Char,
     CharInterner,
-    dying_phase,
-    growing_esc_phase,
     interner_for,
     is_growing,
     kernel_for,
@@ -99,7 +96,7 @@ class _Bucket:
 
     def __init__(self) -> None:
         self.nodes: list[int] = []            # first-touch order, like dict order
-        self.lanes: dict[int, array] = {}     # node -> array('q') of packed entries
+        self.lanes: dict[int, list[int]] = {}  # node -> packed entries
 
     def clear(self) -> None:
         # only the touched lanes need clearing: "listed in nodes ⟺ lane
@@ -117,7 +114,7 @@ class PackedEventWheel:
     query surface (``next_tick`` / ``__bool__`` / ``__len__`` /
     ``in_flight``), but ``schedule`` encodes the character through the
     interner and appends one packed int to the destination node's
-    ``array('q')`` lane, and ``pop`` hands the whole bucket back for
+    lane, and ``pop`` hands the whole bucket back for
     zero-copy delivery.  Buckets (and their lanes) are recycled through a
     free ring via :meth:`recycle` instead of being reallocated per tick.
     """
@@ -189,7 +186,7 @@ class PackedEventWheel:
         lanes = bucket.lanes
         lane = lanes.get(node)
         if lane is None:
-            lane = lanes[node] = array("q")
+            lane = lanes[node] = []
             bucket.nodes.append(node)
         elif not lane:
             bucket.nodes.append(node)
@@ -282,12 +279,13 @@ class FlatEngine(Engine):
     #: tables are resolved per node on first fallback use (see Engine)
     EAGER_DISPATCH = False
 
-    #: The transition-table stepper: nodes whose processor declares
-    #: ``TABLE_AUTOMATON`` have their deliveries resolved by one indexed
-    #: load into :attr:`CharKernel.trans_rows` — drop, inline emission, or
-    #: escape — instead of calling a handler closure per event.  A
-    #: benchmark control subclass sets this False to measure the
-    #: closure-dispatch path on an otherwise identical engine.
+    #: The native stepper: nodes whose processor declares
+    #: ``TABLE_AUTOMATON`` have their deliveries resolved by one load from
+    #: the kernel's ``char_trans`` tensor — drop, inline emission, or escape
+    #: to the handlers — in compiled code (:mod:`repro.sim.native`).  A
+    #: benchmark control subclass sets this False to measure the closure
+    #: dispatch on an otherwise identical engine; an engine whose native
+    #: build is unavailable falls back to the same closure dispatch.
     TABLE_WALK = True
 
     def __init__(
@@ -397,103 +395,45 @@ class FlatEngine(Engine):
         #: the live view: the dynamic engine parks a degraded node's entry
         #: (sets it None) and restores it, mirroring its sink parking
         self._chandlers: list[list | None] = list(self._chandlers_all)
-        # ---- the table-walked automaton -------------------------------
-        # Shadow phase registers, 6 per node (one per snake-family bank):
-        # each is the node's GrowingMarks / DyingRelay state for that bank
-        # expressed as an index into the kernel's transition rows.  A
-        # delivery at a table-walked node is then one row lookup — 0 drops,
-        # a positive row emits inline through the node's precompiled wire
-        # program below, a negative row escapes to the code/object path
-        # (which resynchronizes the shadow phases afterwards).  Validity is
-        # tracked per node so :meth:`wake` can invalidate cheaply after a
-        # scripted driver mutates registers directly.
-        n_nodes = len(processors)
-        self._tw_phase: list[int] = [0] * (n_nodes * 6)
-        self._tw_valid = bytearray(b"\x01" * n_nodes)
-        #: node -> (all_wires, wire_by_port, tail_wires, n_wires) or None
-        #: (not table-walked).  all_wires: (dst, in_port << PORT_SHIFT) per
-        #: connected out-port, the broadcast shape; wire_by_port: the same
-        #: pairs indexed by out-port ((-1, 0) when unwired, matching the
-        #: code sink's unconnected-slot error); tail_wires: per family
-        #: bank, (dst, shifted_in, body_code, packed_base) per out-port —
-        #: the §2.3.2 tail relay's body appends fully resolved.
-        self._tw_nodes: list[tuple | None] = [None] * n_nodes
+        # ---- the stepper ------------------------------------------------
+        # The native walk (repro.sim.native) resolves deliveries at nodes
+        # whose processor declares TABLE_AUTOMATON by one load from the
+        # kernel's transition tensor and calls back into the handlers for
+        # every escape; it shares this engine's wheel, counters and
+        # handler tables by reference.  Without it every tick takes the
+        # closure dispatch in step_tick.
+        self._stepper = None
         if self.TABLE_WALK:
-            code_base = self._code_base
-            stride = topo.stride
-            for node, ctable in enumerate(self._chandlers_all):
-                if ctable is None or not processors[node].TABLE_AUTOMATON:
-                    continue
-                slot_base = node * stride
-                out_ports = topo.out_ports_of(node)
-                all_wires = tuple(
-                    (
-                        topo.wire_dst[slot_base + port],
-                        self._in_shift[slot_base + port],
-                    )
-                    for port in out_ports
-                )
-                wire_by_port: list[tuple[int, int]] = [(-1, 0)] * stride
-                for port in out_ports:
-                    wire_by_port[port] = (
-                        topo.wire_dst[slot_base + port],
-                        self._in_shift[slot_base + port],
-                    )
-                tail_wires = tuple(
-                    tuple(
-                        (
-                            topo.wire_dst[slot_base + port],
-                            self._in_shift[slot_base + port],
-                            bodies[port],
-                            code_base[bodies[port]],
-                        )
-                        for port in out_ports
-                    )
-                    for bodies in kernel.body_codes
-                )
-                self._tw_nodes[node] = (
-                    all_wires,
-                    wire_by_port,
-                    tail_wires,
-                    len(all_wires),
-                )
-        self._pack_tick_locals()
+            from repro.sim import native  # the loader stays out of CLI import
 
-    def _pack_tick_locals(self) -> None:
-        """Bundle the per-tick loop's constant bindings into one tuple.
-
-        ``step_tick`` runs once per event tick; rebinding a dozen attribute
-        lookups there is measurable on sparse runs.  Everything in the
-        bundle is either identity-stable across a reset (lists mutated in
-        place) or re-packed by :meth:`reset` (the transcript is rebound).
-        """
-        wheel = self._wheel
-        self._tick_locals = (
-            self.processors,
-            self._code_handlers,
-            self._chars,
-            self._fill_table,
-            self.root,
-            self.transcript.record_recv,
-            self._chandlers,
-            self._kernel_fill,
-            self._kernel.n_codes,
-            self._tw_nodes,
-            # the table-walk emission pack: everything the inline wire
-            # program touches, all identity-stable across a reset
-            (
-                self._tw_phase,
-                self._tw_valid,
-                self._kernel.trans_rows,
-                self._kernel.trans_walkable,
-                self._kernel.bank_list,
-                self._code_base,
-                self._emitted_by_code,
-                wheel._buckets,
-                wheel._ring,
-                wheel._ticks,
-            ),
-        )
+            module = native.load()
+            if module is not None:
+                self._stepper = module.Stepper(
+                    processors=processors,
+                    chandlers=self._chandlers,
+                    walk=bytes(
+                        ctable is not None and processors[node].TABLE_AUTOMATON
+                        for node, ctable in enumerate(self._chandlers_all)
+                    ),
+                    kernel=kernel,
+                    wire_dst=self._topo.wire_dst,
+                    in_shift=self._in_shift,
+                    out_start=self._topo.out_start,
+                    out_ports=self._topo.out_ports,
+                    emitted=self._emitted_by_code,
+                    buckets=self._wheel._buckets,
+                    ring=self._wheel._ring,
+                    ticks=self._wheel._ticks,
+                    bucket_type=_Bucket,
+                    deliver_object=self._deliver_object,
+                    deliver_other=self._deliver_other,
+                    drain=self._drain_node,
+                    drain_due=self._drain_due,
+                    active=self._active,
+                    unwired=self._unwired_emission,
+                    growing=self._growing_code,
+                    chars=self._chars,
+                )
 
     def reset(self) -> None:
         """Restore power-on state; every compiled table survives.
@@ -515,66 +455,18 @@ class FlatEngine(Engine):
         # un-park every code-handler table (the closures themselves survive:
         # they reach all mutable processor state through `self` per call)
         self._chandlers[:] = self._chandlers_all
-        # power-on registers are quiescent, so the shadow phases are all
-        # zero and uniformly valid (both containers mutate in place — the
-        # packed tick locals alias them)
-        tw_phase = self._tw_phase
-        tw_phase[:] = [0] * len(tw_phase)
-        self._tw_valid[:] = b"\x01" * len(self._tw_valid)
-        self._pack_tick_locals()  # the transcript recorder was rebound
+        if self._stepper is not None:
+            # power-on registers are quiescent: all shadow phases zero
+            self._stepper.reset()
 
     def wake(self, node: int) -> None:
         # Scripted drivers (the single-RCA/BCA harnesses) call methods on a
         # processor directly and then wake it: its registers may have moved
-        # without a delivery, so the shadow phases must be rederived before
-        # its next table-walked delivery.
-        self._tw_valid[node] = 0
+        # without a delivery, so the native walk must rederive its shadow
+        # phases before the node's next table-walked delivery.
+        if self._stepper is not None:
+            self._stepper.invalidate(node)
         super().wake(node)
-
-    def _tw_sync(self, node: int) -> None:
-        """Rederive ``node``'s shadow phases from its protocol registers.
-
-        Called whenever the registers may have changed outside the table
-        walk itself: after every escape or object-path delivery at the
-        node, and lazily after a :meth:`wake` invalidation.  Any register
-        shape the phase encoding cannot express maps to a phase whose rows
-        all escape, so an inexpressible state costs speed, never
-        correctness.
-        """
-        proc = self.processors[node]
-        tw_phase = self._tw_phase
-        base = node * 6
-        delta = self._topo.delta
-        esc = growing_esc_phase(delta)
-        # growing banks: unvisited / visited-via-parent, except that an
-        # engaged candidacy intercepts its own snake family (the closures'
-        # rca_phase / bca_phase pre-checks) — that whole bank escapes
-        m = proc._marks_ig
-        tw_phase[base] = (1 + (m.parent_in or 0)) if m.visited else 0
-        m = proc._marks_og
-        tw_phase[base + 1] = (
-            esc if proc.rca_phase else (1 + (m.parent_in or 0)) if m.visited else 0
-        )
-        m = proc._marks_bg
-        tw_phase[base + 4] = (
-            esc if proc.bca_phase else (1 + (m.parent_in or 0)) if m.visited else 0
-        )
-        # dying banks: an active relay's (pred, succ, promote_next) triple,
-        # phase 0 (all rows escape) otherwise
-        for off, relay in (
-            (2, proc._relay_id),
-            (3, proc._relay_od),
-            (5, proc._relay_bd),
-        ):
-            pred = relay.pred
-            succ = relay.succ
-            if relay.active and pred is not None and succ is not None:
-                tw_phase[base + off] = dying_phase(
-                    delta, pred, succ, 1 if relay.promote_next else 0
-                )
-            else:
-                tw_phase[base + off] = 0
-        self._tw_valid[node] = 1
 
     # ------------------------------------------------------------------
     # metrics: counted per code in flat lists, materialized on read
@@ -718,341 +610,41 @@ class FlatEngine(Engine):
         return wheel_tick
 
     def step_tick(self) -> None:
-        """Advance the global clock by exactly one tick."""
+        """Advance the global clock by exactly one tick.
+
+        Two stepper paths deliver a tick's arrivals: the native walk
+        (:mod:`repro.sim.native`), which runs the whole tick below in
+        compiled code, and — when it is unavailable, disabled or a tracer
+        is attached — the closure dispatch.  Both consume the same wheel
+        buckets and emit through the same handler tables.
+        """
         self.tick = tick = self.tick + 1
+        stepper = self._stepper
+        if stepper is not None:
+            if self.tracer is None:
+                stepper.step(tick)
+                return
+            # a tracer sends the whole tick down the object path, which may
+            # move any register the walk reads
+            stepper.invalidate()
         wheel = self._wheel
         bucket = wheel.pop(tick)
-
         if bucket is not None:
-            (
-                processors,
-                code_handlers,
-                chars,
-                fill_table,
-                root,
-                record_recv,
-                live_chandlers,
-                kfill,
-                kn,
-                tw_nodes,
-                (
-                    tw_phase,
-                    tw_valid,
-                    trans_rows,
-                    walkable,
-                    bank_list,
-                    code_base,
-                    emitted,
-                    buckets,
-                    ring,
-                    wticks,
-                ),
-            ) = self._tick_locals
-            tw_sync = self._tw_sync
-            n_codes = len(fill_table)
-            tracer = self.tracer
-            lanes = bucket.lanes
-            # the code-space kernel: per-tick gate — a tracer needs every
-            # delivery decoded and recorded, so its presence sends whole
-            # ticks down the object path
-            chandlers = live_chandlers if tracer is None else None
-            # the packed-entry field constants, bound once per tick: the
-            # per-entry decode below is the hottest code in a flat run
-            code_mask = CODE_MASK
-            port_shift = PORT_SHIFT
-            port_mask = PORT_MASK
-            for node in bucket.nodes:
-                lane = lanes[node]
-                proc = processors[node]
-                # one plain integer sort recovers (priority, in-port, FIFO)
-                entries = sorted(lane) if len(lane) > 1 else lane
-                ctable = chandlers[node] if chandlers is not None else None
-                if ctable is not None:
-                    tw = tw_nodes[node]
-                    if tw is not None:
-                        # Table-walked delivery: the protocol automaton
-                        # lowered to kernel transition rows.  One row
-                        # lookup replaces fill + dispatch + closure frame
-                        # for every escape-free transition; row layout is
-                        # op | phase << 3 | port << 19 | code << 25 (see
-                        # sim/characters.py), 0 drops, negative escapes to
-                        # the code/object path with the filled code fused
-                        # in — and every escape drops the node's shadow
-                        # phases (the cold handlers move registers), to be
-                        # rederived just before the next row read.  Lazy,
-                        # not eager: a KILL/UNMARK/token flood pays one
-                        # byte store per delivery, never a 6-bank resync.
-                        proc._tick = tick
-                        tw_base = node * 6
-                        all_wires, wire_by_port, tail_wires, n_wires = tw
-                        handlers = fallback = None
-                        for packed in entries:
-                            code = packed & code_mask
-                            in_port = (packed >> port_shift) & port_mask
-                            if code < kn and walkable[code]:
-                                if not tw_valid[node]:
-                                    tw_sync(node)
-                                bank = bank_list[code]
-                                row = trans_rows[code][in_port][
-                                    tw_phase[tw_base + bank]
-                                ]
-                                if row == 0:
-                                    continue
-                                if row > 0:
-                                    op = row & 7
-                                    fc = row >> 25
-                                    if op == 4:
-                                        # dying body pass-through: one
-                                        # append on the relay's succ wire
-                                        dst, shifted_in = wire_by_port[
-                                            (row >> 19) & 63
-                                        ]
-                                        if dst < 0:
-                                            raise SimulationError(
-                                                f"node {node} emitted "
-                                                f"{chars[fc]} through "
-                                                "unconnected out-port "
-                                                f"{(row >> 19) & 63}"
-                                            )
-                                        emitted[fc] += 1
-                                        arrival = tick + 3
-                                        tbucket = buckets.get(arrival)
-                                        if tbucket is None:
-                                            tbucket = (
-                                                ring.pop() if ring else _Bucket()
-                                            )
-                                            buckets[arrival] = tbucket
-                                            wticks.append(arrival)
-                                            if (
-                                                len(wticks) > 1
-                                                and arrival < wticks[-2]
-                                            ):
-                                                wticks.sort()
-                                        tlanes = tbucket.lanes
-                                        tlane = tlanes.get(dst)
-                                        if tlane is None:
-                                            tlane = tlanes[dst] = array("q")
-                                            tbucket.nodes.append(dst)
-                                        elif not tlane:
-                                            tbucket.nodes.append(dst)
-                                        tlane.append(
-                                            code_base[fc]
-                                            | shifted_in
-                                            | (len(tlane) << SEQ_SHIFT)
-                                        )
-                                        continue
-                                    if op == 3:
-                                        # tail relay: per-port body appends
-                                        # this residence, filled tail
-                                        # broadcast one tick later
-                                        arrival = tick + 3
-                                        tbucket = buckets.get(arrival)
-                                        if tbucket is None:
-                                            tbucket = (
-                                                ring.pop() if ring else _Bucket()
-                                            )
-                                            buckets[arrival] = tbucket
-                                            wticks.append(arrival)
-                                            if (
-                                                len(wticks) > 1
-                                                and arrival < wticks[-2]
-                                            ):
-                                                wticks.sort()
-                                        tlanes = tbucket.lanes
-                                        tnodes = tbucket.nodes
-                                        for (
-                                            dst,
-                                            shifted_in,
-                                            bcode,
-                                            bbase,
-                                        ) in tail_wires[bank]:
-                                            emitted[bcode] += 1
-                                            tlane = tlanes.get(dst)
-                                            if tlane is None:
-                                                tlane = tlanes[dst] = array("q")
-                                                tnodes.append(dst)
-                                            elif not tlane:
-                                                tnodes.append(dst)
-                                            tlane.append(
-                                                bbase
-                                                | shifted_in
-                                                | (len(tlane) << SEQ_SHIFT)
-                                            )
-                                        arrival += 1
-                                    else:
-                                        # op 1 broadcast, op 2 mark first:
-                                        # the §2.3.2 head mark is the only
-                                        # register write the tables own
-                                        if op == 2:
-                                            tw_phase[tw_base + bank] = (
-                                                row >> 3
-                                            ) & 0xFFFF
-                                            (
-                                                proc._marks_ig
-                                                if bank == 0
-                                                else proc._marks_og
-                                                if bank == 1
-                                                else proc._marks_bg
-                                            ).mark(in_port)
-                                        arrival = tick + 3
-                                    emitted[fc] += n_wires
-                                    tbucket = buckets.get(arrival)
-                                    if tbucket is None:
-                                        tbucket = ring.pop() if ring else _Bucket()
-                                        buckets[arrival] = tbucket
-                                        wticks.append(arrival)
-                                        if len(wticks) > 1 and arrival < wticks[-2]:
-                                            wticks.sort()
-                                    tlanes = tbucket.lanes
-                                    tnodes = tbucket.nodes
-                                    base = code_base[fc]
-                                    for dst, shifted_in in all_wires:
-                                        tlane = tlanes.get(dst)
-                                        if tlane is None:
-                                            tlane = tlanes[dst] = array("q")
-                                            tnodes.append(dst)
-                                        elif not tlane:
-                                            tnodes.append(dst)
-                                        tlane.append(
-                                            base
-                                            | shifted_in
-                                            | (len(tlane) << SEQ_SHIFT)
-                                        )
-                                    continue
-                                # escape row: the cold path, fill fused in
-                                code = -row - 1
-                                h = ctable[code]
-                                if h is not None:
-                                    h(in_port, code)
-                                    tw_valid[node] = 0
-                                    continue
-                                char = chars[code]
-                            elif code < kn:
-                                # all-escape plane (tokens, KILL/UNMARK,
-                                # dying heads and tails): straight to the
-                                # closure path — no register sync, no row
-                                # read; the escape row would only rediscover
-                                # the kernel fill.  A token flood therefore
-                                # never resyncs the shadow phases at all.
-                                code = kfill[code][in_port]
-                                h = ctable[code]
-                                if h is not None:
-                                    h(in_port, code)
-                                    tw_valid[node] = 0
-                                    continue
-                                char = chars[code]
-                            else:
-                                if code >= n_codes:
-                                    self._grow_code_tables()
-                                    n_codes = len(fill_table)
-                                    handlers = None
-                                char = chars[code]
-                                fills = fill_table[code]
-                                if fills is not None:
-                                    char = fills[in_port]
-                            if handlers is None:
-                                handlers = (
-                                    code_handlers[node]
-                                    or self._node_code_table(node)
-                                )
-                                fallback = proc.handle
-                            handler = handlers[code]
-                            if handler is None:
-                                fallback(in_port, char)
-                            else:
-                                handler(in_port, char)
-                            tw_valid[node] = 0
-                        continue
-                    # code-space delivery: fill is one indexed load, the
-                    # handler dispatches on the small-int code, and only
-                    # codes outside the kernel (lazily interned strays) or
-                    # without a code handler decode a Char.  The kernel
-                    # fill agrees with fill_table on every kernel code by
-                    # construction, so the fallback skips the object fill.
-                    # begin_tick inlined (table install requires the base
-                    # implementation); object-path bindings resolve lazily.
-                    proc._tick = tick
-                    handlers = fallback = None
-                    for packed in entries:
-                        code = packed & code_mask
-                        in_port = (packed >> port_shift) & port_mask
-                        if code < kn:
-                            code = kfill[code][in_port]
-                            h = ctable[code]
-                            if h is not None:
-                                h(in_port, code)
-                                continue
-                            char = chars[code]
-                        else:
-                            if code >= n_codes:
-                                self._grow_code_tables()
-                                n_codes = len(fill_table)
-                                handlers = None
-                            char = chars[code]
-                            fills = fill_table[code]
-                            if fills is not None:
-                                char = fills[in_port]
-                        if handlers is None:
-                            handlers = (
-                                code_handlers[node]
-                                or self._node_code_table(node)
-                            )
-                            fallback = proc.handle
-                        handler = handlers[code]
-                        if handler is None:
-                            fallback(in_port, char)
-                        else:
-                            handler(in_port, char)
-                    continue
-                # the object path may move any register (tracer ticks,
-                # parked nodes, handler-less processors): drop the node's
-                # shadow phases and rederive on its next table walk
-                tw_valid[node] = 0
-                proc.begin_tick(tick)
-                handlers = code_handlers[node]
-                if handlers is None:
-                    handlers = self._node_code_table(node)
-                fallback = proc.handle
-                is_root = node == root
-                for packed in entries:
-                    code = packed & code_mask
-                    if code >= n_codes:
-                        # a code scheduled through the generic wheel API
-                        # without passing the engine's intern path
-                        self._grow_code_tables()
-                        handlers = code_handlers[node]
-                        n_codes = len(fill_table)
-                    in_port = (packed >> port_shift) & port_mask
-                    char = chars[code]
-                    if is_root:
-                        record_recv(tick, in_port, char)
-                    if tracer is not None:
-                        tracer.record_delivery(tick, node, in_port, char)
-                    fills = fill_table[code]
-                    if fills is not None:
-                        # §2.3.2 STAR fill, resolved to the canonical
-                        # instance once per (character, port) pair
-                        char = fills[in_port]
-                    handler = handlers[code]
-                    if handler is None:
-                        fallback(in_port, char)
-                    else:
-                        handler(in_port, char)
-
+            self._closure_walk(bucket, tick)
         # Sink-equipped processors schedule at send time and keep an empty
         # outbox; only nodes actually holding outbox entries (the root,
         # sink-less processors, tracer interludes) need a drain pass.  A
         # node hit by both loops drains twice — the second pass is an
         # empty, side-effect-free fast path, cheaper than building the
         # union set every tick.
-        active = self._active
-        if active._due:
-            for node in active.take_due(tick):
-                self._drain_node(node)
+        if self._active._due:
+            self._drain_due(tick)
         if bucket is not None:
             # fused outbox sweep + bucket recycle: one walk over the
             # delivered nodes checks for queued output and empties the
             # lane (drains schedule at tick+1, never into this bucket)
+            processors = self.processors
+            lanes = bucket.lanes
             nodes = bucket.nodes
             for node in nodes:
                 if processors[node]._outbox:
@@ -1060,6 +652,121 @@ class FlatEngine(Engine):
                 del lanes[node][:]
             nodes.clear()
             wheel._ring.append(bucket)
+
+    def _drain_due(self, tick: int) -> None:
+        """Drain every node whose queued output falls due by ``tick``."""
+        for node in self._active.take_due(tick):
+            self._drain_node(node)
+
+    def _closure_walk(self, bucket: _Bucket, tick: int) -> None:
+        """Deliver one bucket through the per-code handler closures."""
+        processors = self.processors
+        lanes = bucket.lanes
+        # the code-space kernel: per-tick gate — a tracer needs every
+        # delivery decoded and recorded, so its presence sends whole ticks
+        # down the object path
+        chandlers = self._chandlers if self.tracer is None else None
+        kfill = self._kernel_fill
+        kn = self._kernel.n_codes
+        # the packed-entry field constants, bound once per tick: the
+        # per-entry decode below is the hottest code in a flat run
+        code_mask = CODE_MASK
+        port_shift = PORT_SHIFT
+        port_mask = PORT_MASK
+        for node in bucket.nodes:
+            lane = lanes[node]
+            # one plain integer sort recovers (priority, in-port, FIFO)
+            if len(lane) > 1:
+                lane.sort()
+            ctable = chandlers[node] if chandlers is not None else None
+            if ctable is None:
+                self._deliver_object(node, lane)
+                continue
+            # code-space delivery: fill is one indexed load and the handler
+            # dispatches on the small-int code; begin_tick is inlined (table
+            # install requires the base implementation)
+            processors[node]._tick = tick
+            for packed in lane:
+                code = packed & code_mask
+                in_port = (packed >> port_shift) & port_mask
+                if code < kn:
+                    code = kfill[code][in_port]
+                    h = ctable[code]
+                    if h is not None:
+                        h(in_port, code)
+                        continue
+                self._deliver_other(node, in_port, code)
+
+    def _deliver_object(self, node: int, lane: list[int]) -> None:
+        """The object path for one node's sorted lane (both steppers).
+
+        Taken by nodes without a live code-handler table (the root, parked
+        nodes, processors without code handlers) and by every node while a
+        tracer is attached: characters are decoded, recorded in the root's
+        transcript and the tracer, filled, and dispatched by kind.
+        """
+        tick = self.tick
+        proc = self.processors[node]
+        proc.begin_tick(tick)
+        handlers = self._code_handlers[node]
+        if handlers is None:
+            handlers = self._node_code_table(node)
+        fallback = proc.handle
+        record_recv = self.transcript.record_recv if node == self.root else None
+        tracer = self.tracer
+        chars = self._chars
+        fill_table = self._fill_table
+        n_codes = len(fill_table)
+        for packed in lane:
+            code = packed & CODE_MASK
+            if code >= n_codes:
+                # a code scheduled through the generic wheel API without
+                # passing the engine's intern path
+                self._grow_code_tables()
+                handlers = self._code_handlers[node]
+                n_codes = len(fill_table)
+            in_port = (packed >> PORT_SHIFT) & PORT_MASK
+            char = chars[code]
+            if record_recv is not None:
+                record_recv(tick, in_port, char)
+            if tracer is not None:
+                tracer.record_delivery(tick, node, in_port, char)
+            fills = fill_table[code]
+            if fills is not None:
+                # §2.3.2 STAR fill, resolved to the canonical instance
+                # once per (character, port) pair
+                char = fills[in_port]
+            handler = handlers[code]
+            if handler is None:
+                fallback(in_port, char)
+            else:
+                handler(in_port, char)
+
+    def _deliver_other(self, node: int, in_port: int, code: int) -> None:
+        """One delivery without a code handler, on the object path.
+
+        ``code`` is already filled when it lies in the kernel (the kernel
+        fill agrees with the fill table there); codes past the kernel
+        (lazily interned strays) are filled here.
+        """
+        if code >= len(self._fill_table):
+            self._grow_code_tables()
+        char = self._chars[code]
+        fills = self._fill_table[code]
+        if fills is not None:
+            char = fills[in_port]
+        handler = (self._code_handlers[node] or self._node_code_table(node))[code]
+        if handler is None:
+            self.processors[node].handle(in_port, char)
+        else:
+            handler(in_port, char)
+
+    def _unwired_emission(self, node: int, code: int, out_port: int) -> None:
+        """Raise for a native-walk emission through an unconnected slot."""
+        raise SimulationError(
+            f"node {node} emitted {self._chars[code]} through unconnected "
+            f"out-port {out_port}"
+        )
 
     def _blocked_emission(self, node: int, out_port: int, char: Char, dst: int) -> bool:
         """Handle an emission through a slot holding no live wire (dst < 0).
@@ -1152,7 +859,7 @@ class FlatEngine(Engine):
             lanes = bucket.lanes
             lane = lanes.get(dst)
             if lane is None:
-                lane = lanes[dst] = array("q")
+                lane = lanes[dst] = []
                 bucket.nodes.append(dst)
             elif not lane:
                 bucket.nodes.append(dst)
@@ -1222,7 +929,7 @@ class FlatEngine(Engine):
             for dst, shifted_in in wires:
                 lane = lanes.get(dst)
                 if lane is None:
-                    lane = lanes[dst] = array("q")
+                    lane = lanes[dst] = []
                     nodes.append(dst)
                 elif not lane:
                     nodes.append(dst)
@@ -1275,7 +982,7 @@ class FlatEngine(Engine):
             lanes = bucket.lanes
             lane = lanes.get(dst)
             if lane is None:
-                lane = lanes[dst] = array("q")
+                lane = lanes[dst] = []
                 bucket.nodes.append(dst)
             elif not lane:
                 bucket.nodes.append(dst)
@@ -1323,7 +1030,7 @@ class FlatEngine(Engine):
             for dst, shifted_in in all_wires:
                 lane = lanes.get(dst)
                 if lane is None:
-                    lane = lanes[dst] = array("q")
+                    lane = lanes[dst] = []
                     nodes.append(dst)
                 elif not lane:
                     nodes.append(dst)
@@ -1358,6 +1065,9 @@ class FlatEngine(Engine):
         seq_field = ((1 << SEQ_BITS) - 1) << SEQ_SHIFT
 
         def purge(predicate) -> int:
+            stepper = self._stepper
+            if stepper is not None:  # the same scan, natively
+                return stepper.purge(node, predicate, self.tick)
             removed = 0
             now = self.tick
             for arrival, bucket in list(wheel._buckets.items()):
@@ -1482,7 +1192,7 @@ class FlatEngine(Engine):
                     tracer.record_emission(tick, node, out_port, char)
                 lane = lanes_get(dst)
                 if lane is None:
-                    lane = lanes[dst] = array("q")
+                    lane = lanes[dst] = []
                     touched_append(dst)
                 elif not lane:
                     touched_append(dst)
@@ -1526,7 +1236,7 @@ class FlatEngine(Engine):
                 ticks.sort()
         lane = bucket.lanes.get(dst)
         if lane is None:
-            lane = bucket.lanes[dst] = array("q")
+            lane = bucket.lanes[dst] = []
             bucket.nodes.append(dst)
         elif not lane:
             bucket.nodes.append(dst)

@@ -365,7 +365,7 @@ def _load_phase(proc: ProtocolProcessor, bank: int, phase: int, delta: int) -> N
 def _read_phase(proc: ProtocolProcessor, bank: int, delta: int) -> int:
     """The phase a flat engine would re-derive from ``proc``'s registers.
 
-    The same mapping as ``FlatEngine._tw_sync`` — recomputed here from
+    The same mapping as the native stepper's phase sync — recomputed here from
     first principles so the test does not trust the code under test.
     """
     if bank in _BANK_MARKS:

@@ -1,0 +1,550 @@
+"""The native tick stepper: row parity, run parity, and its loader.
+
+The flat engine has two stepper paths — the native walk over the
+character kernel's transition tensor (``repro/sim/_stepper.c``) and the
+closure dispatch it falls back to.  These tests pin the native walk to
+both the tensor (every row, executed one delivery at a time, against the
+object-path oracle of ``tests/test_kernel.py``) and the closure path
+(byte-identical transcripts, ticks and hops on every registered family,
+dynamic runs that park and unpark nodes, batch lanes), and exercise the
+build cache: stale and corrupt builds, a failing compiler, an unwritable
+cache, and concurrent builders.
+
+Tests that need the extension skip when this process cannot build it
+(for example under ``CC=false``); the loader tests bring their own
+compiler environment.
+"""
+
+from __future__ import annotations
+
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from repro.campaigns.spec import FAMILY_BUILDERS, build_family
+from repro.errors import ReproError
+from repro.protocol.automaton import ProtocolProcessor
+from repro.protocol.bca import run_single_bca
+from repro.protocol.rca import run_single_rca
+from repro.protocol.runner import determine_topology
+from repro.sim import native
+from repro.sim.batchcore import have_numpy
+from repro.sim.characters import (
+    TRANS_CODE_SHIFT,
+    TRANS_OP_MASK,
+    TRANS_OP_SEND,
+    TRANS_OP_TAIL,
+    TRANS_PHASE_MASK,
+    TRANS_PHASE_SHIFT,
+    TRANS_PORT_MASK,
+    TRANS_PORT_SHIFT,
+    kernel_for,
+    n_phases,
+)
+from repro.sim.flatcore import (
+    CODE_MASK,
+    PORT_MASK,
+    PORT_SHIFT,
+    SEQ_BITS,
+    SEQ_SHIFT,
+    FlatEngine,
+)
+from repro.sim.run import ENGINE_BACKENDS
+from repro.topology import generators
+
+from test_backend_parity import assert_same_run, transcript_bytes
+from test_kernel import (
+    DELTAS,
+    _BANK_MARKS,
+    _TICK,
+    _fresh_processor,
+    _load_phase,
+    _read_phase,
+)
+
+needs_native = pytest.mark.skipif(
+    native.load() is None,
+    reason=f"native stepper unavailable here: {native.status()[1]}",
+)
+
+
+class _ClosureFlatEngine(FlatEngine):
+    """The control: same engine, closure dispatch only."""
+
+    TABLE_WALK = False
+
+
+@pytest.fixture
+def closure_backend(monkeypatch):
+    monkeypatch.setitem(ENGINE_BACKENDS, "flat-closure", _ClosureFlatEngine)
+    return "flat-closure"
+
+
+def _wheel_entries(eng) -> list[tuple[int, int, int, int, int]]:
+    """Every scheduled entry as (arrival, dst, in_port, seq, code)."""
+    seq_mask = (1 << SEQ_BITS) - 1
+    return sorted(
+        (
+            arrival,
+            node,
+            (packed >> PORT_SHIFT) & PORT_MASK,
+            (packed >> SEQ_SHIFT) & seq_mask,
+            packed & CODE_MASK,
+        )
+        for arrival, bucket in eng._wheel._buckets.items()
+        for node in bucket.nodes
+        for packed in bucket.lanes[node]
+    )
+
+
+# ----------------------------------------------------------------------
+# row parity: every transition row, executed by the native walk
+# ----------------------------------------------------------------------
+#: the node under test: de_bruijn(delta, 2) node 1 has every in- and
+#: out-port wired and no self-loop
+_NODE = 1
+
+
+def _drivable(bank: int, phase: int, delta: int) -> bool:
+    """Phases the oracle can load into real registers."""
+    return bank not in _BANK_MARKS or phase <= delta + 1
+
+
+def _deliver_one(eng, bank, phase, code, in_port, delta):
+    """Reset, load ``phase`` into the node's bank, deliver one character.
+
+    Returns the wheel afterwards, the emission counters, every node's
+    register snapshot, and the exception (type and text) if one escaped.
+    """
+    eng.reset()
+    proc = eng.processors[_NODE]
+    _load_phase(proc, bank, phase, delta)
+    eng.wake(_NODE)
+    eng._wheel.schedule(eng.tick + 1, _NODE, in_port, kernel_for(delta).chars[code])
+    error = None
+    try:
+        eng.step_tick()
+    except Exception as exc:  # compared between the two steppers
+        error = (type(exc), str(exc))
+    return (
+        _wheel_entries(eng),
+        list(eng._emitted_by_code),
+        [p.state_snapshot() for p in eng.processors],
+        error,
+    )
+
+
+@needs_native
+@pytest.mark.parametrize("delta", DELTAS)
+def test_native_rows_match_the_oracle_and_the_closure_path(delta):
+    """Each ``(code, in_port, phase)`` row, one native delivery at a time.
+
+    Non-escape rows must do exactly what the object-path oracle does with
+    the same registers (emissions, departure ticks, next phase); every
+    drivable row, escapes included, must leave the wheel, the counters and
+    the registers exactly as the closure dispatch does.  Before each
+    delivery the native phase sync must agree with the oracle's
+    first-principles phase reading.
+    """
+    kernel = kernel_for(delta)
+    graph = generators.de_bruijn(delta, 2)
+    out_ports = tuple(range(1, delta + 1))
+    assert graph.connected_out_ports(_NODE) == out_ports
+    assert graph.connected_in_ports(_NODE) == out_ports
+    walked = FlatEngine(graph, [ProtocolProcessor() for _ in graph.nodes()])
+    closure = _ClosureFlatEngine(graph, [ProtocolProcessor() for _ in graph.nodes()])
+    assert walked._stepper is not None
+    topo = walked._topo
+    rows = escapes = 0
+    for code in range(kernel.n_codes):
+        bank = kernel.bank_list[code]
+        for in_port in out_ports:
+            for phase, row in enumerate(kernel.trans_rows[code][in_port]):
+                if not _drivable(bank, phase, delta):
+                    continue
+                got = _deliver_one(walked, bank, phase, code, in_port, delta)
+                want = _deliver_one(closure, bank, phase, code, in_port, delta)
+                assert got == want, (code, in_port, phase, row)
+                if row < 0:
+                    escapes += 1
+                    continue
+                rows += 1
+                # the oracle: a bare processor in the same state
+                oracle = _fresh_processor(delta)
+                _load_phase(oracle, bank, phase, delta)
+                oracle.handle(in_port, kernel.chars[code])
+                expected = sorted(
+                    (
+                        e.due_tick - _TICK + 2,  # arrival at engine tick 1
+                        topo.wire_dst[_NODE * topo.stride + e.out_port],
+                        topo.wire_in_port[_NODE * topo.stride + e.out_port],
+                        walked._wheel.encode_base(e.char) & CODE_MASK,
+                    )
+                    for e in oracle._outbox
+                )
+                assert [entry[:3] + entry[4:] for entry in got[0]] == expected
+                assert got[3] is None
+                assert walked._stepper.phases(_NODE)[bank] == _read_phase(
+                    oracle, bank, delta
+                )
+                if row:
+                    op = row & TRANS_OP_MASK
+                    assert _read_phase(oracle, bank, delta) == (
+                        (row >> TRANS_PHASE_SHIFT) & TRANS_PHASE_MASK
+                    )
+                    assert all(entry[4] == row >> TRANS_CODE_SHIFT
+                               for entry in got[0]
+                               if op not in (TRANS_OP_TAIL,))
+                    if op == TRANS_OP_SEND:
+                        port = (row >> TRANS_PORT_SHIFT) & TRANS_PORT_MASK
+                        assert got[0][0][1] == topo.wire_dst[
+                            _NODE * topo.stride + port
+                        ]
+    assert rows > 0 and escapes > 0
+
+
+@needs_native
+@pytest.mark.parametrize("delta", DELTAS)
+def test_native_phase_sync_reads_every_register_state(delta):
+    """The native phase derivation equals the oracle on every bank state,
+    including the RCA/BCA interception phases the rows cannot drive."""
+    graph = generators.de_bruijn(delta, 2)
+    eng = FlatEngine(graph, [ProtocolProcessor() for _ in graph.nodes()])
+    proc = eng.processors[_NODE]
+    for bank in range(6):
+        for phase in range(n_phases(delta)):
+            if not _drivable(bank, phase, delta):
+                continue
+            eng.reset()
+            _load_phase(proc, bank, phase, delta)
+            eng.wake(_NODE)
+            assert eng._stepper.phases(_NODE) == tuple(
+                _read_phase(proc, b, delta) for b in range(6)
+            )
+    eng.reset()
+    proc.rca_phase = 1
+    proc.bca_phase = 1
+    eng.wake(_NODE)
+    assert eng._stepper.phases(_NODE) == tuple(
+        _read_phase(proc, b, delta) for b in range(6)
+    )
+
+
+# ----------------------------------------------------------------------
+# run parity: native vs closure vs object
+# ----------------------------------------------------------------------
+@needs_native
+@pytest.mark.parametrize("family", sorted(FAMILY_BUILDERS))
+def test_every_family_runs_identically_on_all_three_paths(family, closure_backend):
+    graph = build_family(family, 8, 1)
+    native_run = determine_topology(graph, backend="flat")
+    closure_run = determine_topology(graph, backend=closure_backend)
+    object_run = determine_topology(graph, backend="object")
+    assert_same_run(native_run, closure_run)
+    assert_same_run(native_run, object_run)
+    assert native_run.matches(graph)
+
+
+@needs_native
+def test_scripted_drivers_invalidate_through_wake(closure_backend):
+    """The RCA/BCA harnesses move registers outside deliveries."""
+    graph = generators.de_bruijn(2, 3)
+    for backend in ("flat", closure_backend):
+        a = run_single_rca(graph, 3, backend=backend)
+        b = run_single_rca(graph, 3, backend="object")
+        assert (a.ticks, a.completed_at) == (b.ticks, b.completed_at)
+        assert transcript_bytes(a.transcript) == transcript_bytes(b.transcript)
+        a = run_single_bca(graph, 5, 1, backend=backend)
+        b = run_single_bca(graph, 5, 1, backend="object")
+        assert (a.ticks, a.delivered_at, a.initiator_done_at) == (
+            b.ticks,
+            b.delivered_at,
+            b.initiator_done_at,
+        )
+        assert a.engine.metrics.delivered == b.engine.metrics.delivered
+
+
+@needs_native
+def test_tracer_ticks_take_the_object_path_and_resync():
+    """A tracer sends whole ticks down the object path; the walk resumes
+    afterwards with re-derived phases, in lock-step with the closure path."""
+    from repro.sim.tracer import EventTrace
+
+    graph = generators.de_bruijn(2, 4)
+    walked = FlatEngine(graph, _gtd_processors(graph))
+    closure = _ClosureFlatEngine(graph, _gtd_processors(graph))
+    for eng in (walked, closure):
+        eng.start()
+    for tick in range(1, 1500):
+        if tick == 300:
+            walked.tracer = EventTrace()
+        elif tick == 360:
+            walked.tracer = None
+        walked.step_tick()
+        closure.step_tick()
+        if tick % 100 == 0:
+            assert _wheel_entries(walked) == _wheel_entries(closure), tick
+    assert transcript_bytes(walked.transcript) == transcript_bytes(closure.transcript)
+    assert [p.state_snapshot() for p in walked.processors] == [
+        p.state_snapshot() for p in closure.processors
+    ]
+
+
+def _gtd_processors(graph):
+    from repro.protocol.gtd import GTDProcessor
+
+    return [GTDProcessor() for _ in graph.nodes()]
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "timeline",
+    ["cut@0.3+heal@0.5", "storm:p=0.4@0.2+heal@0.6", "churn:rate=0.3,period=0.2"],
+)
+def test_dynamic_runs_park_and_unpark_identically(timeline, monkeypatch):
+    """Degraded nodes leave the walk (parked) and rejoin it (unparked);
+    the native, closure and object runs must agree throughout."""
+    from repro.dynamics import compile_timeline, run_dynamic_gtd
+    from repro.dynamics.engine import FlatDynamicEngine
+
+    graph = build_family("spare-ring", 10, 1)
+    program = compile_timeline(timeline, graph, seed=1)
+    budget = program.horizon * 3 + 1000
+    toggles: list[bool] = []
+    toggle = FlatDynamicEngine._toggle_sinks
+
+    def spy(self, node, *, parked):
+        if node in self._saved_sinks:
+            toggles.append(parked)
+        return toggle(self, node, parked=parked)
+
+    monkeypatch.setattr(FlatDynamicEngine, "_toggle_sinks", spy)
+    walked = run_dynamic_gtd(graph, program, max_ticks=budget, backend="flat")
+    monkeypatch.setattr(native, "_LOADED", (None, "closure control"))
+    closure = run_dynamic_gtd(graph, program, max_ticks=budget, backend="flat")
+    obj = run_dynamic_gtd(graph, program, max_ticks=budget, backend="object")
+    assert True in toggles and False in toggles  # parked, then unparked
+    for other in (closure, obj):
+        assert walked.outcome == other.outcome
+        assert walked.ticks == other.ticks
+        assert walked.hops == other.hops
+        assert walked.lost_characters == other.lost_characters
+        assert transcript_bytes(walked.transcript) == transcript_bytes(other.transcript)
+        assert walked.metrics.delivered == other.metrics.delivered
+
+
+@needs_native
+@pytest.mark.skipif(not have_numpy(), reason="numpy not installed (the [batch] extra)")
+def test_batch_lanes_walk_natively_and_equal_solo_runs():
+    from repro.protocol.gtd import GTDProcessor
+    from repro.sim.batchcore import BatchEngine, LaneRun
+
+    graph = generators.de_bruijn(2, 4)
+    solo = determine_topology(graph, backend="flat")
+    eng = BatchEngine(graph, [GTDProcessor() for _ in graph.nodes()], lanes=3)
+    assert all(lane._stepper is not None for lane in eng.lane_engines)
+    outs = eng.run_lanes(
+        [
+            LaneRun(
+                max_ticks=20000,
+                until=(lambda p=lane.processors[eng.root]: p.terminal),
+                drain=True,
+            )
+            for lane in eng.lane_engines
+        ]
+    )
+    for out, lane in zip(outs, eng.lane_engines):
+        assert out.error is None
+        assert out.ticks == solo.ticks
+        assert transcript_bytes(lane.transcript) == transcript_bytes(solo.transcript)
+
+
+def test_engines_fall_back_to_closure_dispatch_with_the_reason(monkeypatch):
+    monkeypatch.setattr(native, "_LOADED", (None, "compiler 'false' failed"))
+    graph = generators.de_bruijn(2, 3)
+    eng = FlatEngine(graph, _gtd_processors(graph))
+    assert eng._stepper is None
+    assert native.status() == ("closure", "compiler 'false' failed")
+    result = determine_topology(graph, backend="flat")
+    assert_same_run(result, determine_topology(graph, backend="object"))
+
+
+def test_cli_map_names_the_stepper(monkeypatch, capsys):
+    from repro.cli import main
+
+    monkeypatch.setattr(native, "_LOADED", (None, "no compiler"))
+    assert main(["map", "--family", "de-bruijn", "--size", "8", "--backend", "flat"]) == 0
+    assert "exact=True  stepper=closure (no compiler)" in capsys.readouterr().out
+    assert main(["map", "--family", "de-bruijn", "--size", "8"]) == 0
+    assert "stepper=object" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# the loader: cache key, publication, fallbacks
+# ----------------------------------------------------------------------
+def _compiler_env(tmp_path: Path) -> dict:
+    """os.environ with the default compiler and a private cache."""
+    env = dict(os.environ)
+    env.pop("CC", None)
+    env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) on this host")
+    return env
+
+
+def test_import_of_the_cli_loads_neither_numpy_nor_the_stepper():
+    code = textwrap.dedent(
+        """
+        import sys
+        import repro.cli
+        from repro.sim import native
+        print('numpy' in sys.modules, native.status())
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(native.__file__).parents[2]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.strip() == "False ('closure', 'not loaded')"
+
+
+def test_build_publishes_one_keyed_artifact(tmp_path):
+    env = _compiler_env(tmp_path)
+    module, reason = native.build_and_load(env)
+    assert reason is None and module is not None
+    path = native.artifact_path(env)
+    assert path.parent == tmp_path / "cache" / "repro" / "native"
+    assert path.name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
+    assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+    assert module.SOURCE_DIGEST in path.name
+
+
+def test_an_edited_source_misses_and_rebuilds(tmp_path, monkeypatch):
+    env = _compiler_env(tmp_path)
+    native.build_and_load(env)
+    first = native.artifact_path(env)
+    edited = tmp_path / "_stepper.c"
+    edited.write_text(native.SOURCE.read_text() + "\n/* edited */\n")
+    monkeypatch.setattr(native, "SOURCE", edited)
+    second = native.artifact_path(env)
+    assert second != first
+    module, reason = native.build_and_load(env)
+    assert reason is None and module.SOURCE_DIGEST in second.name
+    assert second.exists() and first.exists()
+
+
+def test_a_stale_build_under_the_key_is_rebuilt(tmp_path):
+    env = _compiler_env(tmp_path)
+    path = native.artifact_path(env)
+    # a valid extension built for another key, placed under this key
+    native._build(path, "0123456789abcdef", env)
+    module, reason = native.build_and_load(env)
+    assert reason is None
+    assert module.SOURCE_DIGEST != "0123456789abcdef"
+    assert module.SOURCE_DIGEST.encode() in path.read_bytes()
+
+
+def test_a_corrupt_build_is_rebuilt(tmp_path):
+    env = _compiler_env(tmp_path)
+    path = native.artifact_path(env)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(b"\x7fELF torn")
+    module, reason = native.build_and_load(env)
+    assert reason is None and module is not None
+
+
+def test_a_failing_compiler_falls_back_with_the_reason(tmp_path):
+    env = _compiler_env(tmp_path)
+    env["CC"] = "false"
+    module, reason = native.build_and_load(env)
+    assert module is None
+    assert reason == "compiler 'false' failed: exit status 1"
+    assert not any(native.cache_dir(env).iterdir())  # no torn temp file
+
+
+def test_a_missing_compiler_falls_back_with_the_reason(tmp_path):
+    env = _compiler_env(tmp_path)
+    env["CC"] = str(tmp_path / "no-such-cc")
+    module, reason = native.build_and_load(env)
+    assert module is None
+    assert reason.startswith("compiler ") and "did not run" in reason
+
+
+def test_an_unwritable_cache_falls_back_with_the_reason(tmp_path):
+    env = _compiler_env(tmp_path)
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    env["XDG_CACHE_HOME"] = str(blocker)
+    module, reason = native.build_and_load(env)
+    assert module is None
+    assert reason.startswith("cache not writable")
+
+
+def test_concurrent_builders_load_one_published_artifact(tmp_path):
+    env = _compiler_env(tmp_path)
+    env["PYTHONPATH"] = str(Path(native.__file__).parents[2])
+    code = (
+        "from repro.sim import native\n"
+        "module, reason = native.build_and_load()\n"
+        "print(native.artifact_path(), reason, module.SOURCE_DIGEST)\n"
+    )
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env=env
+        )
+        for _ in range(2)
+    ]
+    outs = [p.communicate(timeout=300)[0].split() for p in procs]
+    assert all(p.returncode == 0 for p in procs)
+    assert outs[0] == outs[1]
+    path, reason, digest = outs[0]
+    assert reason == "None" and digest in path
+    assert sorted(p.name for p in Path(path).parent.iterdir()) == [Path(path).name]
+
+
+def test_the_build_tool_reports_the_artifact(tmp_path):
+    env = _compiler_env(tmp_path)
+    tool = Path(native.__file__).parents[3] / "tools" / "build_native.py"
+    if not tool.exists():
+        pytest.skip("the build tool ships with the source tree only")
+    done = subprocess.run(
+        [sys.executable, str(tool)], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert str(native.artifact_path(env)) in done.stdout
+    env["CC"] = "false"
+    done = subprocess.run(
+        [sys.executable, str(tool)], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 1
+    assert "compiler 'false' failed" in done.stderr
+
+
+def test_errors_from_the_walk_propagate():
+    """A handler exception raised under the native walk surfaces intact."""
+    graph = generators.de_bruijn(2, 3)
+    eng = FlatEngine(graph, _gtd_processors(graph))
+    if eng._stepper is None:
+        pytest.skip("native stepper unavailable")
+
+    def boom(in_port, code):
+        raise ReproError("handler failed")
+
+    kernel = kernel_for(graph.delta)
+    token = next(
+        code
+        for code in range(kernel.n_codes)
+        if not kernel.trans_walkable[code] and kernel.handler_plan[code] >= 0
+    )
+    eng._chandlers[1] = [boom] * len(eng._chandlers[1])
+    eng._wheel.schedule(1, 1, 1, eng._chars[token])
+    with pytest.raises(ReproError, match="handler failed"):
+        eng.step_tick()

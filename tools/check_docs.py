@@ -13,7 +13,8 @@ Run from anywhere (``python tools/check_docs.py``); CI runs it in the
    docs must exist under ``benchmarks/baselines/``.
 3. **Perf-number citations**: the README's headline tables must quote
    the *committed* baseline numbers.  Each claim below renders a metric
-   from a committed ``BENCH_*.json`` the way the README prints it and
+   (or a numeric ``meta`` value) from a committed ``BENCH_*.json`` the
+   way the README prints it and
    requires that exact string to appear — re-record a baseline without
    updating the README and this fails, which is the point (stale perf
    tables read as false claims).
@@ -121,9 +122,10 @@ _CLAIMS = [
     ("BENCH_kernel.json", "code_space_hops_per_second", lambda v: f"{v / 1e3:.0f}k"),
     ("BENCH_kernel.json", "object_path_hops_per_second", lambda v: f"{v / 1e3:.0f}k"),
     ("BENCH_kernel.json", "code_space_speedup", lambda v: f"{v:.2f}×"),
-    ("BENCH_vec.json", "table_walk_hops_per_second", lambda v: f"{v / 1e3:.0f}k"),
+    # the two rates are host-bound, so they ride in meta (not gated)
+    ("BENCH_vec.json", "native_walk_hops_per_second", lambda v: f"{v / 1e3:.0f}k"),
     ("BENCH_vec.json", "closure_hops_per_second", lambda v: f"{v / 1e3:.0f}k"),
-    ("BENCH_vec.json", "table_walk_speedup", lambda v: f"{v:.2f}×"),
+    ("BENCH_vec.json", "native_walk_speedup", lambda v: f"{v:.2f}×"),
     ("BENCH_artifacts.json", "full_cold_start_ms", lambda v: f"{v:.1f} ms"),
     ("BENCH_artifacts.json", "full_warm_start_ms", lambda v: f"{v:.1f} ms"),
     ("BENCH_artifacts.json", "full_cold_start_speedup", lambda v: f"{v:.1f}×"),
@@ -139,6 +141,8 @@ def check_perf_citations(problems: list[str]) -> None:
             continue
         doc = json.loads(path.read_text())
         entry = doc.get("metrics", {}).get(metric)
+        if entry is None and isinstance(doc.get("meta", {}).get(metric), (int, float)):
+            entry = {"value": doc["meta"][metric], "unit": "(meta)"}
         if entry is None:
             problems.append(f"{name} no longer records metric {metric!r}")
             continue
