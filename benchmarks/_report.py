@@ -14,11 +14,15 @@ the fresh snapshot over the committed one.
 
 from __future__ import annotations
 
+import importlib.util
 import pathlib
 
 from repro.bench.baseline import record_metric
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
+
+#: the repository's benchmark prints this host record with every result
+_HOST_MODULE = pathlib.Path(__file__).parents[1] / "perfbench" / "host.py"
 
 #: Experiments whose snapshot has been reset in this pytest session.  The
 #: first metric of an experiment wipes its stale file so a partial run
@@ -67,3 +71,15 @@ def bench_metric(
         unit=unit,
         meta=meta,
     )
+
+
+def host_meta() -> dict:
+    """The interpreter, platform, CPU and core count of this host as
+    ``host_*`` baseline ``meta`` keys: the same fields ``perfbench`` prints
+    in its host record, so absolute rates carry the machine they ran on."""
+    spec = importlib.util.spec_from_file_location("_perfbench_host", _HOST_MODULE)
+    host = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(host)
+    record = host.host_record(_HOST_MODULE.parents[1], host.ReferenceSpeed())
+    fields = ("python", "implementation", "platform", "cpu", "nproc")
+    return {f"host_{name}": record[name] for name in fields}

@@ -10,6 +10,11 @@ fallback — and records the per-hop speedup the kernel buys.  In-bench
 asserts pin hop-count equality and byte-identical root transcripts across
 both paths *and* the object backend, so neither side can drift
 semantically while getting faster.
+
+With the native stepper built, the code-space side is the native walk
+plus its escapes into the code handlers; the control's nodes have no live
+code-handler table, so the walk hands every lane whole to the object
+path.  Without it the code-space side runs the closure dispatch.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from repro.sim.flatcore import FlatEngine
 from repro.sim.run import ENGINE_BACKENDS
 from repro.topology import generators
 
-from _report import bench_metric, report
+from _report import bench_metric, host_meta, report
 
 
 class _ObjectPathFlatEngine(FlatEngine):
@@ -35,7 +40,6 @@ class _ObjectPathFlatEngine(FlatEngine):
         super().__init__(*args, **kwargs)
         self._chandlers_all = [None] * len(self.processors)
         self._chandlers[:] = self._chandlers_all
-        self._pack_tick_locals()
 
 
 #: bench-local backend name; registered so the production run pipeline
@@ -103,7 +107,7 @@ def test_kernel_object_path_throughput(benchmark):
     assert code[0] == obj[0], "hop-count divergence between kernel paths"
     assert code[2] == obj[2], "transcript divergence between kernel paths"
     ratio = code[1] / obj[1]
-    bench_metric("kernel", "code_space_speedup", ratio, unit="x")
+    bench_metric("kernel", "code_space_speedup", ratio, unit="x", meta=host_meta())
     report(
         "kernel",
         f"KERNEL split: code-space {code[1]:,.0f} hops/s vs object-path "

@@ -25,10 +25,6 @@ asserted before any number is recorded.  The sweep needs numpy (the
 
 from __future__ import annotations
 
-import os
-import platform
-import sys
-
 import pytest
 
 from repro import determine_topology
@@ -39,7 +35,7 @@ from repro.sim.flatcore import FlatEngine
 from repro.sim.run import ENGINE_BACKENDS
 from repro.topology import generators
 
-from _report import bench_metric, report
+from _report import bench_metric, host_meta, report
 
 
 class _ClosureDispatchFlatEngine(FlatEngine):
@@ -60,24 +56,6 @@ ENGINE_BACKENDS.setdefault("flat-closure", _ClosureDispatchFlatEngine)
 #: lane counts of the batch sweep (64 lanes of de_bruijn(2,4) fit easily;
 #: the point is the per-lane overhead curve, not peak memory)
 LANE_SWEEP = (1, 4, 16, 64)
-
-
-def _host() -> dict:
-    cpu = platform.processor()
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next(
-                line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")
-            )
-    except (OSError, StopIteration):
-        pass
-    return {
-        "host_python": platform.python_version(),
-        "host_implementation": sys.implementation.name,
-        "host_platform": platform.platform(),
-        "host_cpu": cpu,
-        "host_nproc": os.cpu_count(),
-    }
 
 
 def _transcript_bytes(result) -> bytes:
@@ -147,7 +125,7 @@ def test_vec_closure_dispatch_throughput(benchmark):
             "character_hops": walk[0],
             "native_walk_hops_per_second": walk[1],
             "closure_hops_per_second": closure[1],
-            **_host(),
+            **host_meta(),
         },
     )
     report(

@@ -33,10 +33,6 @@
  * are re-derived just before the node's next row read.  The only register
  * write the tables own is the mark of OP_MARK, which is written through to
  * the processor's marks.
- *
- * Stepper.purge is the send-time purge hook's wheel scan for the same
- * engine: a KILL erases the characters its node still "holds" under
- * outbox semantics from the future lanes.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -99,8 +95,6 @@ typedef struct {
     PyObject *drain_due;      /* (tick) -> None */
     PyObject *active;         /* ActiveSet: `_due` non-empty -> drain_due */
     PyObject *unwired;        /* (node, code, out_port) -> raises */
-    PyObject *growing;        /* list: code -> growing-snake kind (bool) */
-    PyObject *chars;          /* list: code -> canonical Char */
     PyObject *node_ints;      /* tuple: node -> int */
     PyObject *code_ints;      /* tuple: kernel code -> int */
     /* kernel tables, borrowed from the shared CharKernel arrays */
@@ -723,153 +717,6 @@ error:
     return NULL;
 }
 
-/* Stepper.purge(node, predicate, now): the send-time purge hook's scan.
-   Erases node's entries that still rest in the sender under outbox
-   semantics (arrival > now) from the lanes of its wire destinations —
-   growing-snake codes matching `predicate` only — renumbers the
-   surviving sequence numbers, rolls the emission counters back and
-   recycles a bucket the purge empties.  Returns the count removed. */
-static PyObject *
-Stepper_purge(Stepper *s, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError, "purge(node, predicate, now)");
-        return NULL;
-    }
-    Py_ssize_t node = PyLong_AsSsize_t(args[0]);
-    long long now = PyLong_AsLongLong(args[2]);
-    if (PyErr_Occurred())
-        return NULL;
-    if (node < 0 || node >= s->n) {
-        PyErr_SetString(PyExc_IndexError, "node out of range");
-        return NULL;
-    }
-    PyObject *predicate = args[1];
-    /* the future buckets, snapshotted: an emptied one leaves the dict */
-    Py_ssize_t nb = 0, pos = 0;
-    PyObject **pairs = PyMem_Malloc(sizeof(PyObject *) * 2 * (PyDict_GET_SIZE(s->buckets) + 1));
-    if (pairs == NULL)
-        return PyErr_NoMemory();
-    PyObject *key, *bucket;
-    while (PyDict_Next(s->buckets, &pos, &key, &bucket)) {
-        long long arrival = PyLong_AsLongLong(key);
-        if (arrival == -1 && PyErr_Occurred())
-            goto done;
-        if (arrival <= now)
-            continue;  /* already departed under outbox semantics */
-        Py_INCREF(key);
-        Py_INCREF(bucket);
-        pairs[2 * nb] = key;
-        pairs[2 * nb + 1] = bucket;
-        nb++;
-    }
-    long long removed = 0;
-    PyObject *lanes = NULL, *nodes = NULL, *kept = NULL, *lane = NULL;
-    for (Py_ssize_t b = 0; b < nb; b++) {
-        key = pairs[2 * b];
-        bucket = pairs[2 * b + 1];
-        lanes = PyObject_GetAttr(bucket, s_lanes);
-        nodes = lanes ? PyObject_GetAttr(bucket, s_nodes) : NULL;
-        if (nodes == NULL || !PyDict_Check(lanes) || !PyList_Check(nodes)) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_TypeError, "malformed wheel bucket");
-            goto error;
-        }
-        for (Py_ssize_t i = s->port_start[node]; i < s->port_start[node + 1]; i++) {
-            Py_ssize_t slot = node * s->stride + s->ports[i];
-            PyObject *dst_obj = PyTuple_GET_ITEM(s->node_ints, s->wdst[slot]);
-            long long in_port = s->wsh[slot] >> PORT_SHIFT;
-            lane = PyDict_GetItemWithError(lanes, dst_obj);
-            if (lane == NULL) {
-                if (PyErr_Occurred())
-                    goto error;
-                continue;
-            }
-            if (!PyList_Check(lane)) {
-                lane = NULL;
-                PyErr_SetString(PyExc_TypeError, "wheel lanes must be lists");
-                goto error;
-            }
-            Py_INCREF(lane);
-            Py_ssize_t len = PyList_GET_SIZE(lane);
-            for (Py_ssize_t j = 0; j < len; j++) {
-                long long packed = PyLong_AsLongLong(PyList_GET_ITEM(lane, j));
-                if (packed == -1 && PyErr_Occurred())
-                    goto error;
-                long long code = packed & CODE_MASK;
-                int match = 0;
-                if (code < PyList_GET_SIZE(s->growing)
-                    && PyList_GET_ITEM(s->growing, code) == Py_True
-                    && ((packed >> PORT_SHIFT) & PORT_MASK) == in_port
-                    && code < PyList_GET_SIZE(s->chars)) {
-                    PyObject *r = PyObject_CallOneArg(predicate,
-                                                      PyList_GET_ITEM(s->chars, code));
-                    match = r ? PyObject_IsTrue(r) : -1;
-                    Py_XDECREF(r);
-                    if (match < 0)
-                        goto error;
-                }
-                if (match) {
-                    removed++;
-                    if (bump(s, code, -1) < 0)
-                        goto error;
-                    if (kept == NULL && (kept = PyList_GetSlice(lane, 0, j)) == NULL)
-                        goto error;
-                }
-                else if (kept != NULL) {
-                    /* survivors after a hit: renumber to keep seq dense */
-                    long long seq = PyList_GET_SIZE(kept);
-                    PyObject *entry = PyLong_FromLongLong(
-                        (packed & ~(((1LL << SEQ_BITS) - 1) << SEQ_SHIFT))
-                        | (seq << SEQ_SHIFT));
-                    if (entry == NULL)
-                        goto error;
-                    int rc = PyList_Append(kept, entry);
-                    Py_DECREF(entry);
-                    if (rc < 0)
-                        goto error;
-                }
-            }
-            if (kept != NULL) {
-                if (PyList_SetSlice(lane, 0, len, kept) < 0)
-                    goto error;
-                if (PyList_GET_SIZE(lane) == 0) {
-                    /* keep "listed once <=> lane non-empty" */
-                    Py_ssize_t at = PySequence_Index(nodes, dst_obj);
-                    if (at < 0 || PyList_SetSlice(nodes, at, at + 1, NULL) < 0)
-                        goto error;
-                }
-                Py_CLEAR(kept);
-            }
-            Py_CLEAR(lane);
-        }
-        if (PyList_GET_SIZE(nodes) == 0) {
-            /* an emptied bucket must leave the wheel, or the engine would
-               step to a tick where nothing happens */
-            if (PyDict_DelItem(s->buckets, key) < 0 || PyList_Append(s->ring, bucket) < 0)
-                goto error;
-        }
-        Py_CLEAR(lanes);
-        Py_CLEAR(nodes);
-    }
-    drop_cache(s);
-    for (Py_ssize_t b = 0; b < 2 * nb; b++)
-        Py_DECREF(pairs[b]);
-    PyMem_Free(pairs);
-    return PyLong_FromLongLong(removed);
-error:
-    Py_XDECREF(kept);
-    Py_XDECREF(lane);
-    Py_XDECREF(lanes);
-    Py_XDECREF(nodes);
-done:
-    drop_cache(s);
-    for (Py_ssize_t b = 0; b < 2 * nb; b++)
-        Py_DECREF(pairs[b]);
-    PyMem_Free(pairs);
-    return NULL;
-}
-
 static PyObject *
 Stepper_reset(Stepper *s, PyObject *Py_UNUSED(ignored))
 {
@@ -928,8 +775,6 @@ Stepper_traverse(Stepper *s, visitproc visit, void *arg)
     Py_VISIT(s->drain_due);
     Py_VISIT(s->active);
     Py_VISIT(s->unwired);
-    Py_VISIT(s->growing);
-    Py_VISIT(s->chars);
     Py_VISIT(s->walkable_obj);
     for (int k = 0; k < 2; k++) {
         Py_VISIT(s->cache_lanes[k]);
@@ -954,8 +799,6 @@ Stepper_clear(Stepper *s)
     Py_CLEAR(s->drain_due);
     Py_CLEAR(s->active);
     Py_CLEAR(s->unwired);
-    Py_CLEAR(s->growing);
-    Py_CLEAR(s->chars);
     drop_cache(s);
     return 0;
 }
@@ -1004,8 +847,7 @@ static const char *stepper_kwlist[] = {
     "processors", "chandlers", "walk", "kernel", "wire_dst", "in_shift",
     "out_start", "out_ports", "emitted", "buckets", "ring", "ticks",
     "bucket_type", "deliver_object", "deliver_other", "drain", "drain_due",
-    "active", "unwired",
-    "growing", "chars", NULL,
+    "active", "unwired", NULL,
 };
 
 static PyObject *
@@ -1013,16 +855,14 @@ Stepper_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     PyObject *processors, *chandlers, *walk, *kernel, *wire_dst, *in_shift,
         *out_start, *out_ports, *emitted, *buckets, *ring, *ticks, *bucket_type,
-        *deliver_object, *deliver_other, *drain, *drain_due, *active, *unwired,
-        *growing, *chars;
+        *deliver_object, *deliver_other, *drain, *drain_due, *active, *unwired;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "O!O!OOOOOOO!O!O!O!OOOOOOOO!O!", (char **)stepper_kwlist,
+            args, kwds, "O!O!OOOOOOO!O!O!O!OOOOOOO", (char **)stepper_kwlist,
             &PyList_Type, &processors, &PyList_Type, &chandlers, &walk, &kernel,
             &wire_dst, &in_shift, &out_start, &out_ports, &PyList_Type, &emitted,
             &PyDict_Type, &buckets, &PyList_Type, &ring, &PyList_Type, &ticks,
             &bucket_type, &deliver_object, &deliver_other, &drain, &drain_due,
-            &active, &unwired,
-            &PyList_Type, &growing, &PyList_Type, &chars))
+            &active, &unwired))
         return NULL;
     Stepper *s = (Stepper *)type->tp_alloc(type, 0);
     if (s == NULL)
@@ -1160,8 +1000,7 @@ Stepper_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 #define KEEP(field) Py_INCREF(field); s->field = field;
     KEEP(processors) KEEP(chandlers) KEEP(emitted) KEEP(buckets) KEEP(ring)
     KEEP(ticks) KEEP(bucket_type) KEEP(deliver_object) KEEP(deliver_other)
-    KEEP(drain) KEEP(drain_due) KEEP(active) KEEP(unwired) KEEP(growing)
-    KEEP(chars)
+    KEEP(drain) KEEP(drain_due) KEEP(active) KEEP(unwired)
 #undef KEEP
     return (PyObject *)s;
 error_value:
@@ -1177,8 +1016,6 @@ error:
 static PyMethodDef Stepper_methods[] = {
     {"step", (PyCFunction)Stepper_step, METH_O,
      "step(tick): pop, deliver and sweep the tick's bucket, drain due nodes."},
-    {"purge", (PyCFunction)(void (*)(void))Stepper_purge, METH_FASTCALL,
-     "purge(node, predicate, now): erase node's still-resting entries."},
     {"reset", (PyCFunction)Stepper_reset, METH_NOARGS,
      "reset(): power-on phases (all zero, all current)."},
     {"invalidate", (PyCFunction)(void (*)(void))Stepper_invalidate, METH_FASTCALL,

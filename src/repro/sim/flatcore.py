@@ -431,8 +431,6 @@ class FlatEngine(Engine):
                     drain_due=self._drain_due,
                     active=self._active,
                     unwired=self._unwired_emission,
-                    growing=self._growing_code,
-                    chars=self._chars,
                 )
 
     def reset(self) -> None:
@@ -1065,9 +1063,6 @@ class FlatEngine(Engine):
         seq_field = ((1 << SEQ_BITS) - 1) << SEQ_SHIFT
 
         def purge(predicate) -> int:
-            stepper = self._stepper
-            if stepper is not None:  # the same scan, natively
-                return stepper.purge(node, predicate, self.tick)
             removed = 0
             now = self.tick
             for arrival, bucket in list(wheel._buckets.items()):
