@@ -14,6 +14,10 @@ that design choice two ways:
 
 Expected shape: the faithful configuration completes exactly; both ablated
 configurations fail loudly.
+
+Every run is pinned to the object backend: the ablations patch the Python
+processor, and the flat backend's native walk serves KILL deliveries
+without calling back into it.
 """
 
 from __future__ import annotations
@@ -22,18 +26,15 @@ import repro.sim.processor as processor_module
 from repro import determine_topology
 from repro.errors import CleanupViolation, ProtocolViolation, TickBudgetExceeded
 from repro.protocol.automaton import ProtocolProcessor
-from repro.sim.characters import residence as real_residence
 from repro.topology import generators
 from repro.util.tables import format_table
 
 from _report import report
 
 
-def slow_kill_residence(char):
-    """Ablation: KILL travels at snake speed (residence 3, not 1)."""
-    if char.kind == "KILL":
-        return 3
-    return real_residence(char)
+#: Ablation: KILL leaves the speed-3 kinds, so it rests like a snake
+#: character (residence 3, not 1); UNMARK keeps its speed.
+SLOW_KILL_KINDS = processor_module.SPEED3_KINDS - {"KILL"}
 
 
 def run_ablation(monkeypatch) -> list[tuple]:
@@ -41,15 +42,15 @@ def run_ablation(monkeypatch) -> list[tuple]:
     rows = []
 
     # faithful configuration
-    result = determine_topology(graph, verify_cleanup=True)
+    result = determine_topology(graph, verify_cleanup=True, backend="object")
     rows.append(("KILL speed-3 (paper)", "completes", result.ticks,
                  "exact" if result.matches(graph) else "WRONG"))
 
     # ablation 1: slow KILL
     with monkeypatch.context() as m:
-        m.setattr(processor_module, "residence", slow_kill_residence)
+        m.setattr(processor_module, "SPEED3_KINDS", SLOW_KILL_KINDS)
         try:
-            determine_topology(graph, verify_cleanup=True)
+            determine_topology(graph, verify_cleanup=True, backend="object")
             outcome, detail = "UNEXPECTED PASS", "-"
         except CleanupViolation:
             outcome, detail = "fails", "residue found after RCA"
@@ -63,7 +64,7 @@ def run_ablation(monkeypatch) -> list[tuple]:
             ProtocolProcessor, "_handle_kill", lambda self, char: None
         )
         try:
-            determine_topology(graph, verify_cleanup=True)
+            determine_topology(graph, verify_cleanup=True, backend="object")
             outcome, detail = "UNEXPECTED PASS", "-"
         except CleanupViolation:
             outcome, detail = "fails", "residue found after RCA"
@@ -86,6 +87,6 @@ def test_e10_speed_separation_ablation(benchmark, monkeypatch):
             "speed-separation argument)",
         ),
     )
-    assert rows[0][1] == "completes"
+    assert rows[0][1] == "completes" and rows[0][3] == "exact"
     assert rows[1][1] == "fails"
     assert rows[2][1] == "fails"

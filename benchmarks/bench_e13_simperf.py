@@ -22,7 +22,7 @@ from repro.protocol.rca import run_single_rca
 from repro.sim.run import EnginePool
 from repro.topology import generators
 
-from _report import bench_metric, report
+from _report import bench_metric, host_meta, report
 
 #: hop counts per scenario, keyed by backend — filled as tests run, used
 #: to cross-check that both backends moved exactly the same traffic
@@ -54,7 +54,7 @@ def _run_full_protocol(benchmark, graph, *, backend, experiment, metric, case):
         metric,
         rate,
         unit="hops/s",
-        meta={f"{case}_character_hops": hops},
+        meta={f"{case}_character_hops": hops, **host_meta()},
     )
     report(
         "e13_simperf",

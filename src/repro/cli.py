@@ -52,7 +52,7 @@ from repro.dynamics import compile_timeline, parse_timeline, run_dynamic_gtd
 from repro.dynamics.timeline import TIMELINE_EVENT_KINDS
 from repro.errors import ReproError, TranscriptError
 from repro.protocol.runner import determine_topology
-from repro.sim.run import DEFAULT_BACKEND, ENGINE_BACKENDS
+from repro.sim.run import DEFAULT_BACKEND, ENGINE_BACKENDS, EnginePool
 from repro.store import ResultStore, verify_result_store
 from repro.topology.properties import diameter
 from repro.util.tables import format_table
@@ -383,6 +383,19 @@ def _stepper_label(backend: str) -> str:
     return kind if reason is None else f"{kind} ({reason})"
 
 
+def _print_stepper_counters(pool: EnginePool) -> None:
+    """``map --traffic`` on flat: the native walk's run counters, one line.
+
+    They describe how the run was stepped, not what it computed, so they
+    stay out of results, ``--json`` and transcripts.
+    """
+    for engine in pool.engines():
+        counters = getattr(engine, "stepper_counters", lambda: None)()
+        if counters is not None:
+            fields = "  ".join(f"{name}={value}" for name, value in counters.items())
+            print(f"stepper counters: {fields}")
+
+
 def _run_map(args: argparse.Namespace) -> int:
     if args.repeats > 1:
         return _run_map_sweep(args)
@@ -394,8 +407,9 @@ def _run_map(args: argparse.Namespace) -> int:
         f"backend={args.backend}"
     )
     print(render_adjacency(graph, root=0))
+    pool = EnginePool()  # keeps the engine readable after the run
     result = determine_topology(
-        graph, verify_cleanup=args.verify_cleanup, backend=args.backend
+        graph, verify_cleanup=args.verify_cleanup, backend=args.backend, pool=pool
     )
     print()
     print(render_recovered_map(result.recovered))
@@ -409,6 +423,7 @@ def _run_map(args: argparse.Namespace) -> int:
     if args.traffic:
         print()
         print(render_traffic_profile(result.metrics))
+        _print_stepper_counters(pool)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(result.to_json())
@@ -465,11 +480,13 @@ def _run_map_timeline(args: argparse.Namespace) -> int:
     program = compile_timeline(
         timeline, graph, seed=args.seed, backend=args.backend
     )
+    pool = EnginePool()  # keeps the engine readable after the run
     result = run_dynamic_gtd(
         graph,
         program,
         max_ticks=program.horizon * 3 + 1000,
         backend=args.backend,
+        pool=pool,
     )
     # the "pre" phase precedes every op by definition; each later phase
     # opens with the ops that fired at its start tick
@@ -497,6 +514,7 @@ def _run_map_timeline(args: argparse.Namespace) -> int:
     if args.traffic:
         print()
         print(render_traffic_profile(result.metrics))
+        _print_stepper_counters(pool)
     if args.json:
         import json as _json
 

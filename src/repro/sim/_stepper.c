@@ -21,7 +21,20 @@
  *      phase of the code's family bank): 0 drops, a positive row emits
  *      inline (broadcast, mark-then-broadcast, tail relay, dying-body
  *      send), a negative row escapes with the filled code fused in;
- *   4. an escape calls the node's code handler `h(in_port, code)`, or the
+ *   4. a KILL (the kernel's handler plan names its scope: IG+OG for the
+ *      RCA KILL, BG for the BCA KILL) is served here too, by exactly the
+ *      steps of the node's `c_kill_*` handler: purge the node's
+ *      pre-scheduled growing characters of those families from the future
+ *      buckets of its out-wires (the engine's purge hook, same edit), reset
+ *      the processor's `_next_due`/`_max_due` as `purge_outbox` does, read
+ *      `visited` from the shadow phases, and if anything was purged or
+ *      visited clear the marks (written through) and broadcast the KILL at
+ *      tick+1.  An intercepted bank (an RCA/BCA candidacy) hides its marks
+ *      from the phase, so those are read from the register.  The KILL
+ *      escapes to its handler instead while the processor holds an outbox,
+ *      or once a growing character outside the kernel has been interned
+ *      (the family mask cannot judge it);
+ *   5. an escape calls the node's code handler `h(in_port, code)`, or the
  *      engine's `deliver_other(node, in_port, code)` when there is none
  *      (and for codes outside the kernel), in lane order, so sequence
  *      numbers and transcripts stay byte-identical to the closure path.
@@ -30,9 +43,14 @@
  * bank, derived from its protocol registers (GrowingMarks, DyingRelay and
  * the RCA/BCA interception phases) by sync_node below.  Any Python call at
  * a node may move its registers, so it marks the node's phases stale; they
- * are re-derived just before the node's next row read.  The only register
- * write the tables own is the mark of OP_MARK, which is written through to
- * the processor's marks.
+ * are re-derived just before the node's next row read.  The register
+ * writes the walk owns are the mark of OP_MARK and the KILL's clear, both
+ * written through to the processor's marks.
+ *
+ * Counters.  Each stepper counts rows walked, handler escapes (of them,
+ * deliver_other calls), object-path lanes, native KILLs, KILLs escaped at
+ * walked nodes and native purges that erased something; `counters()` reads
+ * them and `reset()` zeroes them.  They describe a run, never its result.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -53,10 +71,12 @@ static const char digest_tag[] = DIGEST_PREFIX REPRO_STEPPER_DIGEST;
 #define CODE_MASK ((1LL << CODE_BITS) - 1)
 #define SEQ_SHIFT 20
 #define SEQ_BITS 20
+#define SEQ_FIELD (((1LL << SEQ_BITS) - 1) << SEQ_SHIFT)
 #define PORT_SHIFT 40
 #define PORT_MASK 0xFFFF
 #define PRIO_SHIFT 56
-/* kernel flags: priority bits (repro.sim.characters) */
+/* kernel flags (repro.sim.characters) */
+#define KFLAG_GROWING (1 << 1)
 #define KPRIO_SHIFT 10
 #define KPRIO_MASK 3
 /* transition rows (repro.sim.characters) */
@@ -71,11 +91,22 @@ static const char digest_tag[] = DIGEST_PREFIX REPRO_STEPPER_DIGEST;
 #define ROW_PORT_MASK 0x3F
 #define ROW_CODE_SHIFT 25
 #define BANKS 6
+/* handler-plan slots of the two KILL scopes, and the growing banks each
+   one purges and clears (IG = 0, OG = 1, BG = 4) */
+#define PLAN_KILL_RCA 7
+#define PLAN_KILL_BCA 8
+#define KILL_RCA_BANKS ((1u << 0) | (1u << 1))
+#define KILL_BCA_BANKS (1u << 4)
+/* arrival offsets of the cached buckets: inline emissions land at tick+3
+   and tick+4, a KILL broadcast at tick+1 */
+#define CACHED 3
+static const int cache_offset[CACHED] = {3, 4, 1};
 
 /* interned attribute names */
 static PyObject *s_nodes, *s_lanes, *s_tick, *s_outbox, *s_due, *s_mark, *s_visited,
     *s_parent_in, *s_rca_phase, *s_bca_phase, *s_active, *s_pred, *s_succ,
-    *s_promote_next;
+    *s_promote_next, *s_clear, *s_next_due, *s_max_due;
+static PyObject *zero;
 /* bank -> register attribute: growing marks for 0/1/4, relays for 2/3/5 */
 static PyObject *s_bank_attr[BANKS];
 
@@ -97,11 +128,15 @@ typedef struct {
     PyObject *unwired;        /* (node, code, out_port) -> raises */
     PyObject *node_ints;      /* tuple: node -> int */
     PyObject *code_ints;      /* tuple: kernel code -> int */
+    PyObject *growing;        /* list: interned code -> growing kind */
+    Py_ssize_t growing_seen;  /* codes of `growing` checked for strays */
+    int strays;               /* a growing code outside the kernel exists */
     /* kernel tables, borrowed from the shared CharKernel arrays */
     Py_buffer trans_buf, fill_buf, family_buf, flags_buf;
     const int64_t *trans, *fill, *family, *flags;
     const uint8_t *walkable;
     PyObject *walkable_obj;
+    uint8_t *kill_banks;      /* code -> growing banks a KILL purges, or 0 */
     int64_t *body;            /* (bank, out_port) -> body code */
     Py_ssize_t kn, stride, nphase, delta, n;
     /* wiring of table-walked nodes, snapshotted at construction */
@@ -112,10 +147,14 @@ typedef struct {
     /* shadow phases */
     int64_t *phase;           /* node * BANKS + bank */
     uint8_t *valid;           /* node -> phases current */
-    /* per-walk cache of the two inline arrival buckets (tick+3, tick+4),
-       dropped after every call back into Python (a purge may recycle) */
+    /* per-walk cache of the arrival buckets at cache_offset, dropped after
+       every call back into Python and every native purge that recycles a
+       bucket */
     long long now;
-    PyObject *cache_lanes[2], *cache_nodes[2];
+    PyObject *cache_lanes[CACHED], *cache_nodes[CACHED];
+    /* run counters (see counters()) */
+    long long n_rows, n_escapes, n_other, n_object, n_kills, n_kill_escapes,
+        n_purges;
 } Stepper;
 
 /* ------------------------------------------------------------------ */
@@ -165,7 +204,7 @@ copy_i64_seq(PyObject *seq, int64_t *out, Py_ssize_t len, const char *what)
 static void
 drop_cache(Stepper *s)
 {
-    for (int k = 0; k < 2; k++) {
+    for (int k = 0; k < CACHED; k++) {
         Py_CLEAR(s->cache_lanes[k]);
         Py_CLEAR(s->cache_nodes[k]);
     }
@@ -192,13 +231,14 @@ bump(Stepper *s, Py_ssize_t code, long long by)
     return 0;
 }
 
-/* The lanes/nodes of the bucket for `arrival` (created from the ring,
-   like PackedEventWheel.schedule, when absent).  k indexes the cache. */
+/* The lanes/nodes of the bucket at now + cache_offset[k] (created from
+   the ring, like PackedEventWheel.schedule, when absent) into cache k. */
 static int
-arrival_bucket(Stepper *s, long long arrival, int k)
+arrival_bucket(Stepper *s, int k)
 {
     if (s->cache_lanes[k] != NULL)
         return 0;
+    const long long arrival = s->now + cache_offset[k];
     PyObject *key = PyLong_FromLongLong(arrival);
     if (key == NULL)
         return -1;
@@ -259,11 +299,11 @@ fail:
 }
 
 /* Append `value` (base | shifted in-port) to dst's lane at arrival
-   now + 3 + k, numbering it with the lane's FIFO sequence. */
+   now + cache_offset[k], numbering it with the lane's FIFO sequence. */
 static int
 append_entry(Stepper *s, int k, Py_ssize_t dst, long long value)
 {
-    if (arrival_bucket(s, s->now + 3 + k, k) < 0)
+    if (arrival_bucket(s, k) < 0)
         return -1;
     PyObject *lanes = s->cache_lanes[k];
     PyObject *dst_obj = PyTuple_GET_ITEM(s->node_ints, dst);
@@ -466,6 +506,238 @@ emit_row(Stepper *s, Py_ssize_t node, PyObject *proc, int bank,
     return 0;
 }
 
+static inline int
+purgeable(const Stepper *s, long long packed, long long shifted_in, unsigned banks)
+{
+    const long long code = packed & CODE_MASK;
+    return code < s->kn && (s->flags[code] & KFLAG_GROWING)
+           && (packed & ((long long)PORT_MASK << PORT_SHIFT)) == shifted_in
+           && ((banks >> s->family[code]) & 1);
+}
+
+/* Erase one lane's purgeable entries: growing codes of the `banks`
+   families that arrived through `shifted_in` (the wire identifies the
+   sender).  When anything goes, every survivor is renumbered densely and
+   the emission counters are rolled back.  Returns the number erased. */
+static Py_ssize_t
+purge_lane(Stepper *s, PyObject *lane, long long shifted_in, unsigned banks)
+{
+    const Py_ssize_t len = PyList_GET_SIZE(lane);
+    Py_ssize_t j = 0;
+    for (; j < len; j++) {
+        long long packed = PyLong_AsLongLong(PyList_GET_ITEM(lane, j));
+        if (packed == -1 && PyErr_Occurred())
+            return -1;
+        if (purgeable(s, packed, shifted_in, banks))
+            break;
+    }
+    if (j == len)
+        return 0;
+    PyObject *kept = PyList_New(0);
+    if (kept == NULL)
+        return -1;
+    for (j = 0; j < len; j++) {
+        long long packed = PyLong_AsLongLong(PyList_GET_ITEM(lane, j));
+        if (packed == -1 && PyErr_Occurred())
+            goto error;
+        if (purgeable(s, packed, shifted_in, banks)) {
+            if (bump(s, packed & CODE_MASK, -1) < 0)
+                goto error;
+            continue;
+        }
+        PyObject *v = PyLong_FromLongLong(
+            (packed & ~SEQ_FIELD) | ((long long)PyList_GET_SIZE(kept) << SEQ_SHIFT));
+        if (v == NULL || PyList_Append(kept, v) < 0) {
+            Py_XDECREF(v);
+            goto error;
+        }
+        Py_DECREF(v);
+    }
+    Py_ssize_t erased = len - PyList_GET_SIZE(kept);
+    int rc = PyList_SetSlice(lane, 0, len, kept);
+    Py_DECREF(kept);
+    return rc < 0 ? -1 : erased;
+error:
+    Py_DECREF(kept);
+    return -1;
+}
+
+/* The engine's purge hook for `node`, natively: every future bucket (in
+   wheel order), every out-wire of the node in port order.  A lane left
+   empty drops its node from the bucket's list; a bucket left empty is
+   unregistered and returned to the ring (its stale tick stays in `ticks`,
+   as with the hook).  Returns the number erased, or -1. */
+static Py_ssize_t
+purge_node(Stepper *s, Py_ssize_t node, unsigned banks)
+{
+    PyObject *items = PyDict_Items(s->buckets);
+    if (items == NULL)
+        return -1;
+    const Py_ssize_t slot0 = node * s->stride;
+    const Py_ssize_t p0 = s->port_start[node], p1 = s->port_start[node + 1];
+    Py_ssize_t removed = 0;
+    int recycled = 0;
+    for (Py_ssize_t b = 0; b < PyList_GET_SIZE(items); b++) {
+        PyObject *item = PyList_GET_ITEM(items, b);
+        PyObject *key = PyTuple_GET_ITEM(item, 0), *bucket = PyTuple_GET_ITEM(item, 1);
+        long long arrival = PyLong_AsLongLong(key);
+        if (arrival == -1 && PyErr_Occurred())
+            goto error;
+        if (arrival <= s->now)
+            continue;  /* already departed under outbox semantics */
+        PyObject *nodes = PyObject_GetAttr(bucket, s_nodes);
+        PyObject *lanes = nodes ? PyObject_GetAttr(bucket, s_lanes) : NULL;
+        if (lanes == NULL || !PyList_Check(nodes) || !PyDict_Check(lanes)) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_TypeError, "malformed wheel bucket");
+            Py_XDECREF(nodes);
+            Py_XDECREF(lanes);
+            goto error;
+        }
+        int rc = 0;
+        for (Py_ssize_t i = p0; i < p1 && rc == 0; i++) {
+            Py_ssize_t slot = slot0 + s->ports[i];
+            PyObject *dst_obj = PyTuple_GET_ITEM(s->node_ints, s->wdst[slot]);
+            PyObject *lane = PyDict_GetItemWithError(lanes, dst_obj);
+            if (lane == NULL) {
+                rc = PyErr_Occurred() ? -1 : 0;
+                continue;
+            }
+            if (!PyList_Check(lane)) {
+                PyErr_SetString(PyExc_TypeError, "wheel lanes must be lists");
+                rc = -1;
+                break;
+            }
+            if (PyList_GET_SIZE(lane) == 0)
+                continue;
+            Py_ssize_t erased = purge_lane(s, lane, s->wsh[slot], banks);
+            if (erased < 0) {
+                rc = -1;
+                break;
+            }
+            removed += erased;
+            if (erased && PyList_GET_SIZE(lane) == 0) {
+                /* "listed once <=> lane non-empty": bucket.nodes.remove(dst) */
+                Py_ssize_t at = PySequence_Index(nodes, dst_obj);
+                if (at < 0 || PyList_SetSlice(nodes, at, at + 1, NULL) < 0)
+                    rc = -1;
+            }
+        }
+        if (rc == 0 && PyList_GET_SIZE(nodes) == 0) {
+            /* an empty registered bucket would keep the engine busy one
+               tick past the object backend */
+            if (PyDict_DelItem(s->buckets, key) < 0 || PyList_Append(s->ring, bucket) < 0)
+                rc = -1;
+            recycled = 1;
+        }
+        Py_DECREF(nodes);
+        Py_DECREF(lanes);
+        if (rc < 0)
+            goto error;
+    }
+    Py_DECREF(items);
+    if (recycled)
+        drop_cache(s);
+    return removed;
+error:
+    Py_DECREF(items);
+    drop_cache(s);
+    return -1;
+}
+
+/* Whether a growing character outside the kernel has been interned (a
+   test double, a nonstandard payload): the family mask cannot judge it,
+   so from then on every KILL takes its handler.  Other codes past the
+   kernel (a BCA message's tail) are never purgeable and change nothing. */
+static int
+growing_strays(Stepper *s)
+{
+    const Py_ssize_t n = PyList_GET_SIZE(s->growing);
+    for (; s->growing_seen < n && !s->strays; s->growing_seen++) {
+        int t = PyObject_IsTrue(PyList_GET_ITEM(s->growing, s->growing_seen));
+        if (t < 0)
+            return -1;
+        s->strays = t;
+    }
+    return s->strays;
+}
+
+/* A KILL at a walked node: the node's c_kill_* handler, natively.
+   Returns 1 when served, 0 when the delivery must escape, -1 on error. */
+static int
+native_kill(Stepper *s, Py_ssize_t node, PyObject *proc, PyObject *ctable,
+            unsigned banks, long long code)
+{
+    if (code >= PyList_GET_SIZE(ctable) || PyList_GET_ITEM(ctable, code) == Py_None)
+        return 0;
+    int strays = growing_strays(s);
+    if (strays)
+        return strays < 0 ? -1 : 0;
+    PyObject *outbox = PyObject_GetAttr(proc, s_outbox);
+    int resting = outbox ? PyObject_IsTrue(outbox) : -1;
+    Py_XDECREF(outbox);
+    if (resting)
+        return resting < 0 ? -1 : 0;
+    if (!s->valid[node] && sync_node(s, node, proc) < 0)
+        return -1;
+    int64_t *phase = s->phase + node * BANKS;
+    const int64_t intercepted = s->delta + 2;
+    int visited = 0;
+    for (int bank = 0; bank < BANKS; bank++) {
+        if (!((banks >> bank) & 1))
+            continue;
+        if (phase[bank] != intercepted) {
+            visited |= phase[bank] != 0;
+            continue;
+        }
+        /* an RCA/BCA candidacy hides the marks from the phase */
+        long long v;
+        PyObject *marks = PyObject_GetAttr(proc, s_bank_attr[bank]);
+        int rc = marks ? attr_int(marks, s_visited, 1, &v) : -1;
+        Py_XDECREF(marks);
+        if (rc < 0)
+            return -1;
+        visited |= (int)v;
+    }
+    Py_ssize_t purged = purge_node(s, node, banks);
+    if (purged < 0)
+        return -1;
+    if (purged)
+        s->n_purges++;
+    /* purge_outbox over an empty outbox */
+    if (PyObject_SetAttr(proc, s_next_due, Py_None) < 0
+        || PyObject_SetAttr(proc, s_max_due, zero) < 0)
+        return -1;
+    s->n_kills++;
+    if (!purged && !visited)
+        return 1;  /* no growing traces here: absorbed */
+    for (int bank = 0; bank < BANKS; bank++) {
+        if (!((banks >> bank) & 1))
+            continue;
+        if (phase[bank] != intercepted)
+            phase[bank] = 0;
+        PyObject *marks = PyObject_GetAttr(proc, s_bank_attr[bank]);
+        PyObject *r = marks ? PyObject_CallMethodNoArgs(marks, s_clear) : NULL;
+        Py_XDECREF(marks);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
+    }
+    /* the broadcast at tick+1 (its bucket is registered even without a
+       port, as the code broadcast does) */
+    const Py_ssize_t slot0 = node * s->stride;
+    const Py_ssize_t p0 = s->port_start[node], p1 = s->port_start[node + 1];
+    if (arrival_bucket(s, 2) < 0 || bump(s, code, p1 - p0) < 0)
+        return -1;
+    const long long base = code_base(s, code);
+    for (Py_ssize_t i = p0; i < p1; i++) {
+        Py_ssize_t slot = slot0 + s->ports[i];
+        if (append_entry(s, 2, s->wdst[slot], base | s->wsh[slot]) < 0)
+            return -1;
+    }
+    return 1;
+}
+
 /* An escape: the node's code handler, or the engine's object path. */
 static int
 escape(Stepper *s, PyObject *node_obj, PyObject *ctable, long long in_port,
@@ -477,6 +749,7 @@ escape(Stepper *s, PyObject *node_obj, PyObject *ctable, long long in_port,
     PyObject *r;
     PyObject *h = (code < s->kn && code < PyList_GET_SIZE(ctable))
                       ? PyList_GET_ITEM(ctable, code) : Py_None;
+    s->n_escapes++;
     if (h != Py_None) {
         PyObject *args[2] = {port_obj, PyTuple_GET_ITEM(s->code_ints, code)};
         Py_INCREF(h);
@@ -484,6 +757,7 @@ escape(Stepper *s, PyObject *node_obj, PyObject *ctable, long long in_port,
         Py_DECREF(h);
     }
     else {
+        s->n_other++;
         PyObject *code_obj = PyLong_FromLongLong(code);
         if (code_obj == NULL) {
             Py_DECREF(port_obj);
@@ -515,12 +789,22 @@ walk_node(Stepper *s, Py_ssize_t node, PyObject *node_obj, PyObject *lane,
         long long code = packed & CODE_MASK;
         long long in_port = (packed >> PORT_SHIFT) & PORT_MASK;
         if (code < s->kn && in_port <= s->delta) {
+            if (walked && s->kill_banks[code]) {
+                int served = native_kill(s, node, proc, ctable, s->kill_banks[code], code);
+                if (served < 0)
+                    return -1;
+                if (served)
+                    continue;
+                s->n_kill_escapes++;
+            }
             if (walked && s->walkable[code]) {
                 if (!s->valid[node] && sync_node(s, node, proc) < 0)
                     return -1;
                 int bank = s->family[code] >= 0 ? (int)s->family[code] : 0;
                 long long row = s->trans[(code * s->stride + in_port) * s->nphase
                                          + phase[bank]];
+                if (row >= 0)
+                    s->n_rows++;
                 if (row == 0)
                     continue;
                 if (row > 0) {
@@ -587,6 +871,7 @@ walk_bucket(Stepper *s, PyObject *bucket, PyObject *tick_obj)
         Py_INCREF(ctable);
         if (ctable == Py_None || !PyList_Check(ctable)) {
             PyObject *cargs[2] = {node_obj, lane};
+            s->n_object++;
             PyObject *r = PyObject_Vectorcall(s->deliver_object, cargs, 2, NULL);
             drop_cache(s);
             s->valid[node] = 0;
@@ -722,7 +1007,18 @@ Stepper_reset(Stepper *s, PyObject *Py_UNUSED(ignored))
 {
     memset(s->phase, 0, sizeof(int64_t) * BANKS * s->n);
     memset(s->valid, 1, s->n);
+    s->n_rows = s->n_escapes = s->n_other = s->n_object = 0;
+    s->n_kills = s->n_kill_escapes = s->n_purges = 0;
     Py_RETURN_NONE;
+}
+
+static PyObject *
+Stepper_counters(Stepper *s, PyObject *Py_UNUSED(ignored))
+{
+    return Py_BuildValue("{sLsLsLsLsLsLsL}", "rows", s->n_rows, "escapes", s->n_escapes,
+                         "deliver_other", s->n_other, "object_lanes", s->n_object,
+                         "kills", s->n_kills, "kill_escapes", s->n_kill_escapes,
+                         "purges", s->n_purges);
 }
 
 static PyObject *
@@ -776,7 +1072,8 @@ Stepper_traverse(Stepper *s, visitproc visit, void *arg)
     Py_VISIT(s->active);
     Py_VISIT(s->unwired);
     Py_VISIT(s->walkable_obj);
-    for (int k = 0; k < 2; k++) {
+    Py_VISIT(s->growing);
+    for (int k = 0; k < CACHED; k++) {
         Py_VISIT(s->cache_lanes[k]);
         Py_VISIT(s->cache_nodes[k]);
     }
@@ -799,6 +1096,7 @@ Stepper_clear(Stepper *s)
     Py_CLEAR(s->drain_due);
     Py_CLEAR(s->active);
     Py_CLEAR(s->unwired);
+    Py_CLEAR(s->growing);
     drop_cache(s);
     return 0;
 }
@@ -816,6 +1114,7 @@ Stepper_dealloc(Stepper *s)
         if (bufs[i]->obj != NULL)
             PyBuffer_Release(bufs[i]);
     PyMem_Free(s->body);
+    PyMem_Free(s->kill_banks);
     PyMem_Free(s->wdst);
     PyMem_Free(s->wsh);
     PyMem_Free(s->port_start);
@@ -847,7 +1146,7 @@ static const char *stepper_kwlist[] = {
     "processors", "chandlers", "walk", "kernel", "wire_dst", "in_shift",
     "out_start", "out_ports", "emitted", "buckets", "ring", "ticks",
     "bucket_type", "deliver_object", "deliver_other", "drain", "drain_due",
-    "active", "unwired", NULL,
+    "active", "unwired", "growing", NULL,
 };
 
 static PyObject *
@@ -855,14 +1154,14 @@ Stepper_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     PyObject *processors, *chandlers, *walk, *kernel, *wire_dst, *in_shift,
         *out_start, *out_ports, *emitted, *buckets, *ring, *ticks, *bucket_type,
-        *deliver_object, *deliver_other, *drain, *drain_due, *active, *unwired;
+        *deliver_object, *deliver_other, *drain, *drain_due, *active, *unwired, *growing;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "O!O!OOOOOOO!O!O!O!OOOOOOO", (char **)stepper_kwlist,
+            args, kwds, "O!O!OOOOOOO!O!O!O!OOOOOOOO!", (char **)stepper_kwlist,
             &PyList_Type, &processors, &PyList_Type, &chandlers, &walk, &kernel,
             &wire_dst, &in_shift, &out_start, &out_ports, &PyList_Type, &emitted,
             &PyDict_Type, &buckets, &PyList_Type, &ring, &PyList_Type, &ticks,
             &bucket_type, &deliver_object, &deliver_other, &drain, &drain_due,
-            &active, &unwired))
+            &active, &unwired, &PyList_Type, &growing))
         return NULL;
     Stepper *s = (Stepper *)type->tp_alloc(type, 0);
     if (s == NULL)
@@ -941,6 +1240,24 @@ Stepper_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
             goto error;
     Py_CLEAR(fast);
     Py_CLEAR(tmp);
+    /* KILL scopes: the kernel's handler plan, as a family mask per code */
+    s->kill_banks = PyMem_Calloc(s->kn ? s->kn : 1, 1);
+    tmp = PyObject_GetAttrString(kernel, "handler_plan");
+    if (s->kill_banks == NULL || tmp == NULL)
+        goto error;
+    fast = PySequence_Fast(tmp, "handler_plan");
+    if (fast == NULL || PySequence_Fast_GET_SIZE(fast) != s->kn)
+        goto error_value;
+    for (Py_ssize_t code = 0; code < s->kn; code++) {
+        long slot = PyLong_AsLong(PySequence_Fast_GET_ITEM(fast, code));
+        if (slot == -1 && PyErr_Occurred())
+            goto error;
+        s->kill_banks[code] = slot == PLAN_KILL_RCA   ? KILL_RCA_BANKS
+                              : slot == PLAN_KILL_BCA ? KILL_BCA_BANKS
+                                                      : 0;
+    }
+    Py_CLEAR(fast);
+    Py_CLEAR(tmp);
     /* wiring */
     Py_ssize_t slots = n * s->stride;
     s->wdst = PyMem_Calloc(slots ? slots : 1, sizeof(int64_t));
@@ -993,6 +1310,7 @@ Stepper_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         memcpy(s->walk, wv.buf, n);
         PyBuffer_Release(&wv);
     }
+    s->growing_seen = s->kn;
     s->node_ints = int_tuple(n);
     s->code_ints = int_tuple(s->kn);
     if (s->node_ints == NULL || s->code_ints == NULL)
@@ -1000,7 +1318,7 @@ Stepper_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 #define KEEP(field) Py_INCREF(field); s->field = field;
     KEEP(processors) KEEP(chandlers) KEEP(emitted) KEEP(buckets) KEEP(ring)
     KEEP(ticks) KEEP(bucket_type) KEEP(deliver_object) KEEP(deliver_other)
-    KEEP(drain) KEEP(drain_due) KEEP(active) KEEP(unwired)
+    KEEP(drain) KEEP(drain_due) KEEP(active) KEEP(unwired) KEEP(growing)
 #undef KEEP
     return (PyObject *)s;
 error_value:
@@ -1022,6 +1340,8 @@ static PyMethodDef Stepper_methods[] = {
      "invalidate([node]): mark one node's (or every node's) phases stale."},
     {"phases", (PyCFunction)Stepper_phases, METH_O,
      "phases(node): the node's six bank phases, re-derived if stale."},
+    {"counters", (PyCFunction)Stepper_counters, METH_NOARGS,
+     "counters(): the run counters since construction or reset(), a dict."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1049,10 +1369,10 @@ PyInit__stepper(void)
 {
     const char *names[] = {"nodes", "lanes", "_tick", "_outbox", "_due", "mark", "visited",
                            "parent_in", "rca_phase", "bca_phase", "active", "pred",
-                           "succ", "promote_next"};
+                           "succ", "promote_next", "clear", "_next_due", "_max_due"};
     PyObject **slots[] = {&s_nodes, &s_lanes, &s_tick, &s_outbox, &s_due, &s_mark, &s_visited,
                           &s_parent_in, &s_rca_phase, &s_bca_phase, &s_active, &s_pred,
-                          &s_succ, &s_promote_next};
+                          &s_succ, &s_promote_next, &s_clear, &s_next_due, &s_max_due};
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)
         if ((*slots[i] = PyUnicode_InternFromString(names[i])) == NULL)
             return NULL;
@@ -1061,7 +1381,7 @@ PyInit__stepper(void)
     for (int i = 0; i < BANKS; i++)
         if ((s_bank_attr[i] = PyUnicode_InternFromString(banks[i])) == NULL)
             return NULL;
-    if (PyType_Ready(&StepperType) < 0)
+    if ((zero = PyLong_FromLong(0)) == NULL || PyType_Ready(&StepperType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&stepper_module);
     if (m == NULL)

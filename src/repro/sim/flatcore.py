@@ -431,6 +431,7 @@ class FlatEngine(Engine):
                     drain_due=self._drain_due,
                     active=self._active,
                     unwired=self._unwired_emission,
+                    growing=self._growing_code,
                 )
 
     def reset(self) -> None:
@@ -456,6 +457,17 @@ class FlatEngine(Engine):
         if self._stepper is not None:
             # power-on registers are quiescent: all shadow phases zero
             self._stepper.reset()
+
+    def stepper_counters(self) -> dict[str, int] | None:
+        """The native walk's run counters since construction or reset.
+
+        Rows walked, handler escapes (of them, ``deliver_other`` calls),
+        object-path lanes, KILLs served natively, KILLs escaped at walked
+        nodes, and native purges that erased something; ``None`` on the
+        closure path.  They describe how a run was stepped, never its
+        result.
+        """
+        return None if self._stepper is None else self._stepper.counters()
 
     def wake(self, node: int) -> None:
         # Scripted drivers (the single-RCA/BCA harnesses) call methods on a

@@ -224,6 +224,10 @@ class EnginePool:
                 if not coldest:
                     del self._idle[coldest_key]
 
+    def engines(self) -> list[Engine]:
+        """The idle engines, coldest signature first."""
+        return [engine for stack in self._idle.values() for engine in stack]
+
     def clear(self) -> None:
         """Drop every idle engine (tests, cold-cache baselines)."""
         self._idle.clear()

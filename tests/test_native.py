@@ -30,13 +30,15 @@ import pytest
 
 from repro.campaigns.spec import FAMILY_BUILDERS, build_family
 from repro.errors import ReproError
-from repro.protocol.automaton import ProtocolProcessor
+from repro.protocol.automaton import _BCA_WAIT_UNMARK, _RCA_WAIT_LOOP, ProtocolProcessor
 from repro.protocol.bca import run_single_bca
 from repro.protocol.rca import run_single_rca
 from repro.protocol.runner import determine_topology
-from repro.sim import native
+from repro.sim import characters, native
 from repro.sim.batchcore import have_numpy
 from repro.sim.characters import (
+    SCOPE_BCA,
+    SCOPE_RCA,
     TRANS_CODE_SHIFT,
     TRANS_OP_MASK,
     TRANS_OP_SEND,
@@ -45,7 +47,10 @@ from repro.sim.characters import (
     TRANS_PHASE_SHIFT,
     TRANS_PORT_MASK,
     TRANS_PORT_SHIFT,
+    intern_char,
     kernel_for,
+    make_body,
+    make_head,
     n_phases,
 )
 from repro.sim.flatcore import (
@@ -56,7 +61,8 @@ from repro.sim.flatcore import (
     SEQ_SHIFT,
     FlatEngine,
 )
-from repro.sim.run import ENGINE_BACKENDS
+from repro.sim.processor import Processor
+from repro.sim.run import ENGINE_BACKENDS, EnginePool
 from repro.topology import generators
 
 from test_backend_parity import assert_same_run, transcript_bytes
@@ -238,6 +244,183 @@ def test_native_phase_sync_reads_every_register_state(delta):
 
 
 # ----------------------------------------------------------------------
+# KILL floods: native vs closure on one scripted wheel
+# ----------------------------------------------------------------------
+#: the KILL's receiver: de_bruijn(2, 2) node 1 sends to nodes 2 and 3
+_KILLER = 1
+
+
+class _Injector(Processor):
+    """A root stand-in whose every delivery runs the test's ``inject``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.inject = lambda: None
+
+    def handle(self, in_port, char):
+        self.inject()
+
+    def state_snapshot(self):
+        return {}
+
+
+def _kill_tick(eng, scope, marks, debris, resting):
+    """Script one KILL at ``_KILLER``, step its tick, return what it touched.
+
+    ``marks``: the scope's marks unvisited, visited, or visited behind an
+    RCA/BCA candidacy (the phase then hides them).  ``debris``: the
+    killer's purgeable characters wait in several future buckets — mixed
+    with kept entries in one lane, alone in another lane, alone in a whole
+    bucket — and the root, delivered first, files one more at the current
+    tick (already departed: it must stay).  ``resting``: one character
+    rests in the killer's outbox, so the KILL must take its handler.
+    """
+    eng.reset()
+    topo = eng._topo
+    proc = eng.processors[_KILLER]
+    now = eng.tick + 1
+    (dst_a, in_a), (dst_b, in_b) = [
+        (topo.wire_dst[_KILLER * topo.stride + port],
+         topo.wire_in_port[_KILLER * topo.stride + port])
+        for port in topo.out_ports_of(_KILLER)
+    ]
+    other_in = next(  # dst_a's in-port from another sender
+        topo.wire_in_port[slot]
+        for slot in range(len(topo.wire_dst))
+        if topo.wire_dst[slot] == dst_a and topo.wire_in_port[slot] != in_a
+    )
+    ours, theirs = ("IG", "OG"), "BG"
+    if scope == SCOPE_BCA:
+        ours, theirs = ("BG",), "IG"
+    mine = [make_body(ours[0], 1, 2), make_head(ours[-1], 2), make_body(ours[-1], 2, 1)]
+    token = intern_char("FWD", 1, 2)
+    dying = make_body("ID", 1, 2)
+
+    def put(arrival, dst, in_port, char):
+        eng._wheel.schedule(arrival, dst, in_port, char)
+        eng._emitted_by_code[eng._wheel.encode_base(char) & CODE_MASK] += 1
+
+    if marks == "visited":
+        proc.growing[ours[0]].mark(1)
+    elif marks == "intercepted":  # the flood returning to its initiator
+        proc.growing[ours[-1]].mark(1)
+        if scope == SCOPE_RCA:
+            proc.rca_phase = _RCA_WAIT_LOOP
+        else:
+            proc.bca_phase = _BCA_WAIT_UNMARK
+    if debris:
+        eng.processors[0].inject = lambda: put(now, dst_a, in_a, mine[0])
+        put(now, 0, 1, token)  # the root comes first in the KILL's bucket
+        put(now + 1, dst_a, in_a, mine[0])
+        put(now + 1, dst_a, in_a, token)
+        for char in (token, mine[1], make_body(theirs, 1, 2), mine[2], dying):
+            put(now + 2, dst_a, in_a, char)
+        put(now + 2, dst_a, other_in, mine[0])  # another sender's wire
+        put(now + 2, dst_b, in_b, mine[1])      # the lane empties
+        put(now + 4, dst_b, in_b, mine[0])      # the whole bucket empties
+        put(now + 4, dst_b, in_b, mine[2])
+        put(now + 9, dst_a, in_a, mine[1])
+    if resting:
+        proc._queue(1, mine[0], now + 1)
+    else:
+        proc._max_due = now + 5  # left behind by an earlier fast drain
+    eng.wake(_KILLER)
+    put(now, _KILLER, 1, intern_char("KILL", payload=scope))
+    eng.step_tick()
+    wheel = eng._wheel
+    return {
+        "entries": _wheel_entries(eng),
+        "nodes": {arrival: list(b.nodes) for arrival, b in wheel._buckets.items()},
+        "ticks": list(wheel._ticks),
+        "ring": len(wheel._ring),
+        "emitted": list(eng._emitted_by_code),
+        "registers": [p.state_snapshot() for p in eng.processors],
+        "resting": (proc._next_due, proc._max_due, proc._tick,
+                    [(e.due_tick, e.out_port, e.char) for e in proc._outbox]),
+    }
+
+
+def _kill_processors(graph):
+    return [_Injector()] + [ProtocolProcessor() for _ in range(graph.num_nodes - 1)]
+
+
+@needs_native
+@pytest.mark.parametrize("scope", [SCOPE_RCA, SCOPE_BCA])
+@pytest.mark.parametrize("marks", ["unvisited", "visited", "intercepted"])
+@pytest.mark.parametrize("debris", [False, True])
+@pytest.mark.parametrize("resting", [False, True])
+def test_native_kill_matches_the_closure_handler(scope, marks, debris, resting):
+    """A KILL served in the walk edits the wheel, the counters and the
+    registers exactly as the node's ``c_kill_*`` handler and the Python
+    purge hook do; with an outbox it escapes to that handler."""
+    graph = generators.de_bruijn(2, 2)
+    walked = FlatEngine(graph, _kill_processors(graph))
+    closure = _ClosureFlatEngine(graph, _kill_processors(graph))
+    got = _kill_tick(walked, scope, marks, debris, resting)
+    want = _kill_tick(closure, scope, marks, debris, resting)
+    assert got == want
+    assert walked._stepper.counters() == {
+        "rows": 0,
+        "escapes": int(resting),
+        "deliver_other": 0,
+        "object_lanes": int(debris),
+        "kills": int(not resting),
+        "kill_escapes": int(resting),
+        "purges": int(debris and not resting),
+    }
+    # the scenario reaches what it claims to
+    now = 1
+    kill = kernel_for(2).codes[intern_char("KILL", payload=scope)]
+    flood = [e for e in want["entries"] if e[0] == now + 1 and e[4] == kill]
+    assert len(flood) == (2 if debris or resting or marks != "unvisited" else 0)
+    if debris and not resting:
+        assert now + 4 not in want["nodes"]          # bucket unregistered
+        assert now + 4 in want["ticks"]               # its tick left stale
+        assert len(want["nodes"][now + 2]) == 1       # one lane emptied
+        assert len([e for e in want["entries"] if e[0] == now]) == 1
+    assert want["resting"][:2] == (None, 0)  # the resting character is purged
+
+
+@needs_native
+def test_a_growing_stray_sends_kills_to_their_handler(monkeypatch):
+    """Once a growing character outside the kernel is interned, the family
+    mask cannot judge it: KILLs escape, and still match the closure path.
+    A stray that cannot grow (a BCA message's tail) changes nothing."""
+    monkeypatch.setattr(characters, "_INTERNERS", {})  # a private interner
+    graph = generators.de_bruijn(2, 2)
+    walked = FlatEngine(graph, _kill_processors(graph))
+    closure = _ClosureFlatEngine(graph, _kill_processors(graph))
+    assert _kill_tick(walked, SCOPE_RCA, "visited", True, False) == _kill_tick(
+        closure, SCOPE_RCA, "visited", True, False
+    )
+    assert walked._stepper.counters()["kills"] == 1
+    for stray, escapes in ((intern_char("BDT", payload="stray"), 0),
+                           (intern_char("IGB", 1, 2, payload="stray"), 1)):
+        walked._wheel.encode_base(stray)
+        walked._grow_code_tables()
+        closure._grow_code_tables()
+        assert _kill_tick(walked, SCOPE_RCA, "visited", True, False) == _kill_tick(
+            closure, SCOPE_RCA, "visited", True, False
+        )
+        assert walked._stepper.counters()["kill_escapes"] == escapes
+
+
+@needs_native
+@pytest.mark.parametrize("family", ["de-bruijn", "hypercube", "torus", "random"])
+def test_kill_floods_stay_in_the_walk(family, monkeypatch):
+    """On the benchmark's map families every KILL at a walked node is
+    served natively — none escapes to its handler."""
+    monkeypatch.setattr(characters, "_INTERNERS", {})  # no strays from other tests
+    pool = EnginePool()
+    graph = build_family(family, 16, 1)
+    assert determine_topology(graph, backend="flat", pool=pool).matches(graph)
+    (engine,) = pool.engines()
+    counters = engine.stepper_counters()
+    assert counters["kills"] > 0 and counters["purges"] > 0
+    assert counters["kill_escapes"] == 0
+
+
+# ----------------------------------------------------------------------
 # run parity: native vs closure vs object
 # ----------------------------------------------------------------------
 @needs_native
@@ -384,6 +567,30 @@ def test_cli_map_names_the_stepper(monkeypatch, capsys):
     assert "exact=True  stepper=closure (no compiler)" in capsys.readouterr().out
     assert main(["map", "--family", "de-bruijn", "--size", "8"]) == 0
     assert "stepper=object" in capsys.readouterr().out
+
+
+@needs_native
+def test_cli_map_traffic_prints_the_stepper_counters(tmp_path, capsys):
+    """One extra line under ``--traffic``; the ``--json`` result is the
+    same with or without it."""
+    from repro.cli import main
+
+    args = ["map", "--family", "de-bruijn", "--size", "8", "--backend", "flat"]
+    assert main(args + ["--json", str(tmp_path / "plain.json")]) == 0
+    assert "stepper counters" not in capsys.readouterr().out
+    assert main(args + ["--traffic", "--json", str(tmp_path / "traffic.json")]) == 0
+    lines = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("stepper counters: ")
+    ]
+    assert len(lines) == 1
+    fields = dict(field.split("=") for field in lines[0].split(": ")[1].split())
+    assert list(fields) == [
+        "rows", "escapes", "deliver_other", "object_lanes", "kills",
+        "kill_escapes", "purges",
+    ]
+    assert int(fields["rows"]) > 0 and int(fields["kills"]) > 0
+    assert (tmp_path / "plain.json").read_text() == (tmp_path / "traffic.json").read_text()
 
 
 # ----------------------------------------------------------------------
