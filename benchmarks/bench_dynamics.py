@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.campaigns.spec import build_family
 from repro.dynamics import compile_timeline, run_dynamic_gtd
 
-from _report import bench_metric, report
+from _report import bench_metric, host_meta, report
 
 #: The E-style dynamic workload: periodic churn with strong healing, which
 #: keeps the network chattering (floods, RCAs, re-probes) across every
@@ -87,7 +87,11 @@ def _run_dynamic(benchmark, *, case, backend, rounds):
         f"{case}_{backend}_hops_per_second",
         rate,
         unit="hops/s",
-        meta={f"{case}_character_hops": hops, f"{case}_outcome": result.outcome.value},
+        meta={
+            f"{case}_character_hops": hops,
+            f"{case}_outcome": result.outcome.value,
+            **host_meta(),
+        },
     )
     report(
         "bench_dynamics",

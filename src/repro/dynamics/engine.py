@@ -224,11 +224,21 @@ class DynamicWiringMixin:
         :meth:`effective_topology` would lag behind simulated time.
         """
         nxt = super()._next_event_tick()
-        if self._cursor < len(self._ops):
-            op_tick = self._ops[self._cursor].tick
-            if nxt is None or op_tick < nxt:
-                return op_tick
+        op_tick = self._next_op_tick()
+        if op_tick is not None and (nxt is None or op_tick < nxt):
+            return op_tick
         return nxt
+
+    def _next_op_tick(self) -> int | None:
+        """The tick of the next op not yet applied, or ``None``.
+
+        It bounds the Python fast-forward above and is the ``stop`` of the
+        flat engine's native run loop, which hands back right after
+        stepping that tick so :meth:`_apply_due_mutations` runs there.
+        """
+        if self._cursor < len(self._ops):
+            return self._ops[self._cursor].tick
+        return None
 
     def _apply_due_mutations(self) -> None:
         ops = self._ops

@@ -1,7 +1,8 @@
 /*
  * Native tick stepper for the flat engine (repro.sim.flatcore).
  *
- * One call of Stepper.step(tick) runs one tick of FlatEngine.step_tick
+ * Stepper.run runs the engine's whole run loop (below); one tick of it, or
+ * one call of Stepper.step(tick), runs one tick of FlatEngine.step_tick
  * after the clock advanced: it pops the tick's wheel bucket (a _Bucket:
  * `nodes`, the first-touch node list, and `lanes`, node -> list of packed
  * entries), delivers it, drains the nodes whose queued output falls due
@@ -47,9 +48,32 @@
  * writes the walk owns are the mark of OP_MARK and the KILL's clear, both
  * written through to the processor's marks.
  *
+ * The run loop.  Stepper.run(engine, max_ticks, until, stop, drain) is the
+ * whole loop of Engine.run (or, with `drain`, of Engine.run_to_idle) for a
+ * flat engine without a tracer.  Each iteration, in Engine.run's order:
+ *   1. at `max_ticks`, hand back (the caller checks `until()` once more and
+ *      raises the budget error);
+ *   2. call `until()` — the one Python call a stepped tick still makes —
+ *      or, without one, check idleness: no live outbox and no bucket
+ *      (from tick 1 on, unless draining);
+ *   3. find the next event tick as FlatEngine._next_event_tick does (drop
+ *      stale `_ticks` heads, take the minimum with the `_due` heap head),
+ *      bounded by `stop`;
+ *   4. on a dead network, jump to `max_ticks` under `until` (it can never
+ *      flip), else advance one tick, as Engine._advance does;
+ *   5. otherwise fast-forward to one tick short of it, never past
+ *      `max_ticks`, write engine.tick, step the tick as Stepper.step does
+ *      and let pending signals (deadlines, Ctrl-C) raise.
+ * Control returns to Python when the end condition holds, at the budget,
+ * on any exception (engine.tick where the Python loop leaves it), and
+ * right after stepping the `stop` tick: the dynamic engines apply their
+ * wire ops there and re-enter.
+ *
  * Counters.  Each stepper counts rows walked, handler escapes (of them,
  * deliver_other calls), object-path lanes, native KILLs, KILLs escaped at
- * walked nodes and native purges that erased something; `counters()` reads
+ * walked nodes, native purges that erased something, ticks the run loop
+ * stepped and ticks it moved the clock over without stepping
+ * (fast-forwards, dead-network ticks, budget jumps); `counters()` reads
  * them and `reset()` zeroes them.  They describe a run, never its result.
  */
 
@@ -105,7 +129,7 @@ static const int cache_offset[CACHED] = {3, 4, 1};
 /* interned attribute names */
 static PyObject *s_nodes, *s_lanes, *s_tick, *s_outbox, *s_due, *s_mark, *s_visited,
     *s_parent_in, *s_rca_phase, *s_bca_phase, *s_active, *s_pred, *s_succ,
-    *s_promote_next, *s_clear, *s_next_due, *s_max_due;
+    *s_promote_next, *s_clear, *s_next_due, *s_max_due, *s_clock, *s_live;
 static PyObject *zero;
 /* bank -> register attribute: growing marks for 0/1/4, relays for 2/3/5 */
 static PyObject *s_bank_attr[BANKS];
@@ -154,7 +178,7 @@ typedef struct {
     PyObject *cache_lanes[CACHED], *cache_nodes[CACHED];
     /* run counters (see counters()) */
     long long n_rows, n_escapes, n_other, n_object, n_kills, n_kill_escapes,
-        n_purges;
+        n_purges, n_ticks, n_skipped;
 } Stepper;
 
 /* ------------------------------------------------------------------ */
@@ -964,15 +988,15 @@ error:
     return -1;
 }
 
-/* Stepper.step(tick): one whole tick of FlatEngine.step_tick once the
-   clock has advanced — pop the bucket, walk it, drain the nodes whose
-   queued output falls due, sweep the bucket. */
-static PyObject *
-Stepper_step(Stepper *s, PyObject *tick_obj)
+/* One whole tick of FlatEngine.step_tick once the clock has advanced —
+   pop the bucket, walk it, drain the nodes whose queued output falls due,
+   sweep the bucket. */
+static int
+step_tick(Stepper *s, PyObject *tick_obj)
 {
     PyObject *bucket = PyDict_GetItemWithError(s->buckets, tick_obj);
     if (bucket == NULL && PyErr_Occurred())
-        return NULL;
+        return -1;
     if (bucket != NULL) {
         Py_INCREF(bucket);
         if (PyDict_DelItem(s->buckets, tick_obj) < 0
@@ -993,13 +1017,198 @@ Stepper_step(Stepper *s, PyObject *tick_obj)
     if (bucket != NULL) {
         int rc = sweep_bucket(s, bucket);
         Py_DECREF(bucket);
-        if (rc < 0)
-            return NULL;
+        return rc;
     }
-    Py_RETURN_NONE;
+    return 0;
 error:
     Py_XDECREF(bucket);
-    return NULL;
+    return -1;
+}
+
+static PyObject *
+Stepper_step(Stepper *s, PyObject *tick_obj)
+{
+    if (step_tick(s, tick_obj) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* The earliest tick anything can happen at, as FlatEngine._next_event_tick
+   computes it: drop the stale heads of the wheel's `_ticks` (ticks whose
+   bucket is gone), then take the minimum of its head and the ActiveSet's
+   `_due` heap head.  -1 when neither holds anything. */
+static int
+next_event(Stepper *s, long long *out)
+{
+    PyObject *ticks = s->ticks;
+    Py_ssize_t stale = 0, nt = PyList_GET_SIZE(ticks);
+    while (stale < nt) {
+        int held = PyDict_Contains(s->buckets, PyList_GET_ITEM(ticks, stale));
+        if (held < 0)
+            return -1;
+        if (held)
+            break;
+        stale++;
+    }
+    if (stale > 0 && PyList_SetSlice(ticks, 0, stale, NULL) < 0)
+        return -1;
+    long long nxt = -1;
+    if (PyList_GET_SIZE(ticks) > 0) {
+        nxt = PyLong_AsLongLong(PyList_GET_ITEM(ticks, 0));
+        if (nxt == -1 && PyErr_Occurred())
+            return -1;
+    }
+    /* read per call: ActiveSet._compact rebinds the heap */
+    PyObject *due = PyObject_GetAttr(s->active, s_due);
+    if (due == NULL)
+        return -1;
+    if (!PyList_Check(due)) {
+        Py_DECREF(due);
+        PyErr_SetString(PyExc_TypeError, "ActiveSet._due must be a list");
+        return -1;
+    }
+    if (PyList_GET_SIZE(due) > 0) {
+        PyObject *head = PyList_GET_ITEM(due, 0);
+        long long due_tick = -1;
+        if (PyTuple_Check(head) && PyTuple_GET_SIZE(head) > 0)
+            due_tick = PyLong_AsLongLong(PyTuple_GET_ITEM(head, 0));
+        else
+            PyErr_SetString(PyExc_TypeError, "ActiveSet._due holds (tick, node) pairs");
+        if (due_tick == -1 && PyErr_Occurred()) {
+            Py_DECREF(due);
+            return -1;
+        }
+        if (nxt < 0 || due_tick < nxt)
+            nxt = due_tick;
+    }
+    Py_DECREF(due);
+    *out = nxt;
+    return 0;
+}
+
+/* engine.tick = tick; the new int is handed back in *out when asked for */
+static int
+set_clock(PyObject *engine, long long tick, PyObject **out)
+{
+    PyObject *tick_obj = PyLong_FromLongLong(tick);
+    if (tick_obj == NULL)
+        return -1;
+    if (PyObject_SetAttr(engine, s_clock, tick_obj) < 0) {
+        Py_DECREF(tick_obj);
+        return -1;
+    }
+    if (out != NULL)
+        *out = tick_obj;
+    else
+        Py_DECREF(tick_obj);
+    return 0;
+}
+
+/* Stepper.run(engine, max_ticks, until, stop, drain): the loop of
+   Engine.run (drain false) or Engine.run_to_idle (drain true, `until`
+   None) over this stepper, in the same order of checks — see the header.
+   Returns True when `until()` (or idleness) held, False when the clock
+   reached `max_ticks` first (the caller makes the final `until()` check
+   and raises the budget error), None right after stepping the `stop`
+   tick. */
+static PyObject *
+Stepper_run(Stepper *s, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError,
+                        "run(engine, max_ticks, until, stop, drain) takes 5 arguments");
+        return NULL;
+    }
+    PyObject *engine = args[0], *until = args[2] == Py_None ? NULL : args[2];
+    long long max_ticks = PyLong_AsLongLong(args[1]), stop = -1, tick;
+    if (max_ticks == -1 && PyErr_Occurred())
+        return NULL;
+    if (args[3] != Py_None) {
+        stop = PyLong_AsLongLong(args[3]);
+        if (stop == -1 && PyErr_Occurred())
+            return NULL;
+    }
+    int drain = PyObject_IsTrue(args[4]);
+    if (drain < 0 || attr_int(engine, s_clock, 0, &tick) < 0)
+        return NULL;
+    /* cleared in place on reset, never rebound */
+    PyObject *live = PyObject_GetAttr(s->active, s_live);
+    if (live == NULL)
+        return NULL;
+    if (!PyAnySet_Check(live)) {
+        Py_DECREF(live);
+        PyErr_SetString(PyExc_TypeError, "ActiveSet.live must be a set");
+        return NULL;
+    }
+    PyObject *result = NULL;
+    for (;;) {
+        if (tick >= max_ticks) {
+            result = Py_False;
+            break;
+        }
+        if (until != NULL) {
+            PyObject *r = PyObject_CallNoArgs(until);
+            int held = r ? PyObject_IsTrue(r) : -1;
+            Py_XDECREF(r);
+            if (held < 0)
+                goto done;
+            if (held) {
+                result = Py_True;
+                break;
+            }
+        }
+        else if (PySet_GET_SIZE(live) == 0 && PyDict_GET_SIZE(s->buckets) == 0
+                 && (drain || tick > 0)) {
+            result = Py_True;
+            break;
+        }
+        long long nxt;
+        if (next_event(s, &nxt) < 0)
+            goto done;
+        if (stop >= 0 && (nxt < 0 || stop < nxt))
+            nxt = stop;
+        if (nxt < 0) {
+            /* dead network: under a just-false `until` nothing can ever
+               flip it, so burn the budget in one jump; otherwise advance
+               one tick, as Engine._advance does */
+            long long to = until != NULL ? max_ticks : tick + 1;
+            s->n_skipped += to - tick;
+            tick = to;
+            if (set_clock(engine, tick, NULL) < 0)
+                goto done;
+            if (until != NULL) {
+                result = Py_False;
+                break;
+            }
+        }
+        else {
+            /* fast-forward over provably empty ticks, never past max_ticks */
+            if (nxt > tick + 1) {
+                long long to = (nxt < max_ticks ? nxt : max_ticks) - 1;
+                s->n_skipped += to - tick;
+                tick = to;
+            }
+            tick++;
+            PyObject *tick_obj;
+            if (set_clock(engine, tick, &tick_obj) < 0)
+                goto done;
+            int rc = step_tick(s, tick_obj);
+            Py_DECREF(tick_obj);
+            if (rc < 0)
+                goto done;
+            s->n_ticks++;
+            if (stop >= 0 && tick >= stop) {
+                result = Py_None;
+                break;
+            }
+        }
+        if (PyErr_CheckSignals() < 0)
+            goto done;
+    }
+    Py_INCREF(result);
+done:
+    Py_DECREF(live);
+    return result;
 }
 
 static PyObject *
@@ -1009,16 +1218,18 @@ Stepper_reset(Stepper *s, PyObject *Py_UNUSED(ignored))
     memset(s->valid, 1, s->n);
     s->n_rows = s->n_escapes = s->n_other = s->n_object = 0;
     s->n_kills = s->n_kill_escapes = s->n_purges = 0;
+    s->n_ticks = s->n_skipped = 0;
     Py_RETURN_NONE;
 }
 
 static PyObject *
 Stepper_counters(Stepper *s, PyObject *Py_UNUSED(ignored))
 {
-    return Py_BuildValue("{sLsLsLsLsLsLsL}", "rows", s->n_rows, "escapes", s->n_escapes,
-                         "deliver_other", s->n_other, "object_lanes", s->n_object,
-                         "kills", s->n_kills, "kill_escapes", s->n_kill_escapes,
-                         "purges", s->n_purges);
+    return Py_BuildValue("{sLsLsLsLsLsLsLsLsL}", "rows", s->n_rows, "escapes",
+                         s->n_escapes, "deliver_other", s->n_other, "object_lanes",
+                         s->n_object, "kills", s->n_kills, "kill_escapes",
+                         s->n_kill_escapes, "purges", s->n_purges, "ticks", s->n_ticks,
+                         "skipped", s->n_skipped);
 }
 
 static PyObject *
@@ -1334,6 +1545,9 @@ error:
 static PyMethodDef Stepper_methods[] = {
     {"step", (PyCFunction)Stepper_step, METH_O,
      "step(tick): pop, deliver and sweep the tick's bucket, drain due nodes."},
+    {"run", (PyCFunction)(void (*)(void))Stepper_run, METH_FASTCALL,
+     "run(engine, max_ticks, until, stop, drain): the run loop; True when the\n"
+     "end condition held, False at the budget, None after the stop tick."},
     {"reset", (PyCFunction)Stepper_reset, METH_NOARGS,
      "reset(): power-on phases (all zero, all current)."},
     {"invalidate", (PyCFunction)(void (*)(void))Stepper_invalidate, METH_FASTCALL,
@@ -1369,10 +1583,12 @@ PyInit__stepper(void)
 {
     const char *names[] = {"nodes", "lanes", "_tick", "_outbox", "_due", "mark", "visited",
                            "parent_in", "rca_phase", "bca_phase", "active", "pred",
-                           "succ", "promote_next", "clear", "_next_due", "_max_due"};
+                           "succ", "promote_next", "clear", "_next_due", "_max_due",
+                           "tick", "live"};
     PyObject **slots[] = {&s_nodes, &s_lanes, &s_tick, &s_outbox, &s_due, &s_mark, &s_visited,
                           &s_parent_in, &s_rca_phase, &s_bca_phase, &s_active, &s_pred,
-                          &s_succ, &s_promote_next, &s_clear, &s_next_due, &s_max_due};
+                          &s_succ, &s_promote_next, &s_clear, &s_next_due, &s_max_due,
+                          &s_clock, &s_live};
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)
         if ((*slots[i] = PyUnicode_InternFromString(names[i])) == NULL)
             return NULL;

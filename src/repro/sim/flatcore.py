@@ -34,16 +34,19 @@ on dense integer tables instead of Python object graphs:
   code-indexed flat lists, flushed back into the shared
   :class:`~repro.sim.metrics.TrafficMetrics` shape on read.
 
-Delivery timing, fast-forward (:meth:`Engine._advance` is inherited
-unchanged), outbox residence and KILL purge semantics are all reused from
-the base engine — this module replaces only the data plane.
+Delivery timing, fast-forward, outbox residence and KILL purge semantics
+are all reused from the base engine — this module replaces only the data
+plane.  With the native stepper and no tracer, :meth:`FlatEngine.run` and
+:meth:`FlatEngine.run_to_idle` hand the whole run loop to it
+(``Stepper.run``), check for check; :meth:`Engine.run` stays the
+reference loop of every other path.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TickBudgetExceeded
 from repro.sim.characters import (
     GROWING_KINDS,
     STAR,
@@ -266,7 +269,8 @@ class FlatEngine(Engine):
     for :class:`PackedEventWheel`, and lowers each processor's per-kind
     handler table into a code-indexed list.  Everything above the data
     plane — fast-forward, run/drain orchestration, wake and invariant
-    hooks — is inherited from :class:`~repro.sim.engine.Engine` unchanged.
+    hooks — keeps the semantics of :class:`~repro.sim.engine.Engine`; the
+    run loop itself runs natively when it can (:meth:`run`).
     """
 
     #: Subclasses that patch the compiled wire tables in place (the dynamic
@@ -463,11 +467,68 @@ class FlatEngine(Engine):
 
         Rows walked, handler escapes (of them, ``deliver_other`` calls),
         object-path lanes, KILLs served natively, KILLs escaped at walked
-        nodes, and native purges that erased something; ``None`` on the
-        closure path.  They describe how a run was stepped, never its
-        result.
+        nodes, native purges that erased something, ticks the native run
+        loop stepped and ticks it moved the clock over without stepping;
+        ``None`` on the closure path.  They describe how a run was
+        stepped, never its result.
         """
         return None if self._stepper is None else self._stepper.counters()
+
+    # ------------------------------------------------------------------
+    # the run loop: native when the stepper is, Engine.run's otherwise
+    # ------------------------------------------------------------------
+    def run(
+        self,
+        *,
+        max_ticks: int,
+        until: Callable[[], bool] | None = None,
+        start: bool = True,
+    ) -> int:
+        """:meth:`Engine.run`, with the loop in the native stepper.
+
+        Same checks in the same order, same ticks, same budget error and
+        the same ``engine.tick`` on every exit; without the stepper, or
+        with a tracer attached, :meth:`Engine.run` itself runs.
+        """
+        if self._stepper is None or self.tracer is not None:
+            return super().run(max_ticks=max_ticks, until=until, start=start)
+        if start:
+            self.start()
+        if self._native_loop(max_ticks, until, drain=False):
+            return self.tick
+        if until is not None and until():
+            return self.tick
+        raise TickBudgetExceeded(max_ticks)
+
+    def run_to_idle(self, *, max_ticks: int) -> int:
+        """:meth:`Engine.run_to_idle`, with the loop in the native stepper."""
+        if self._stepper is None or self.tracer is not None:
+            return super().run_to_idle(max_ticks=max_ticks)
+        if self._native_loop(max_ticks, None, drain=True) or self.is_idle():
+            return self.tick
+        raise TickBudgetExceeded(max_ticks)
+
+    def _native_loop(
+        self, max_ticks: int, until: Callable[[], bool] | None, *, drain: bool
+    ) -> bool:
+        """Step natively until the end condition holds (True) or the
+        clock reaches ``max_ticks`` (False).
+
+        The stepper hands back right after stepping the next wire op's
+        tick (:meth:`_next_op_tick`; a static engine has none, so it never
+        does); the dynamic engine's ops due there apply exactly where its
+        ``step_tick`` applies them, and the loop re-enters at its head.
+        """
+        run = self._stepper.run
+        while True:
+            held = run(self, max_ticks, until, self._next_op_tick(), drain)
+            if held is not None:
+                return held
+            self._apply_due_mutations()
+
+    def _next_op_tick(self) -> int | None:
+        """The tick of the next scheduled wire op, or ``None`` (static)."""
+        return None
 
     def wake(self, node: int) -> None:
         # Scripted drivers (the single-RCA/BCA harnesses) call methods on a
@@ -602,7 +663,9 @@ class FlatEngine(Engine):
         """Inline of :meth:`Engine._next_event_tick` over the packed wheel.
 
         Same answer, two fewer method calls per event tick — this runs
-        once per fast-forward step, which dominates sparse-traffic runs.
+        once per fast-forward step of the Python loop (closure fallback,
+        tracer runs, ``after_tick`` hooks, batch lanes), which dominates
+        sparse-traffic runs; ``Stepper.run`` makes the same search in C.
         """
         wheel = self._wheel
         ticks = wheel._ticks

@@ -6,9 +6,11 @@ closure dispatch it falls back to.  These tests pin the native walk to
 both the tensor (every row, executed one delivery at a time, against the
 object-path oracle of ``tests/test_kernel.py``) and the closure path
 (byte-identical transcripts, ticks and hops on every registered family,
-dynamic runs that park and unpark nodes, batch lanes), and exercise the
-build cache: stale and corrupt builds, a failing compiler, an unwritable
-cache, and concurrent builders.
+dynamic runs that park and unpark nodes, batch lanes), pin the native
+run loop to ``Engine.run`` on an identical engine (ticks, budgets, wire
+ops, exceptions, tracers), and exercise the build cache: stale and
+corrupt builds, a failing compiler, an unwritable cache, and concurrent
+builders.
 
 Tests that need the extension skip when this process cannot build it
 (for example under ``CC=false``); the loader tests bring their own
@@ -29,11 +31,11 @@ from pathlib import Path
 import pytest
 
 from repro.campaigns.spec import FAMILY_BUILDERS, build_family
-from repro.errors import ReproError
+from repro.errors import ReproError, TickBudgetExceeded
 from repro.protocol.automaton import _BCA_WAIT_UNMARK, _RCA_WAIT_LOOP, ProtocolProcessor
 from repro.protocol.bca import run_single_bca
 from repro.protocol.rca import run_single_rca
-from repro.protocol.runner import determine_topology
+from repro.protocol.runner import default_tick_budget, determine_topology
 from repro.sim import characters, native
 from repro.sim.batchcore import have_numpy
 from repro.sim.characters import (
@@ -53,6 +55,7 @@ from repro.sim.characters import (
     make_head,
     n_phases,
 )
+from repro.sim.engine import Engine
 from repro.sim.flatcore import (
     CODE_MASK,
     PORT_MASK,
@@ -64,6 +67,7 @@ from repro.sim.flatcore import (
 from repro.sim.processor import Processor
 from repro.sim.run import ENGINE_BACKENDS, EnginePool
 from repro.topology import generators
+from repro.topology.properties import diameter
 
 from test_backend_parity import assert_same_run, transcript_bytes
 from test_kernel import (
@@ -367,6 +371,8 @@ def test_native_kill_matches_the_closure_handler(scope, marks, debris, resting):
         "kills": int(not resting),
         "kill_escapes": int(resting),
         "purges": int(debris and not resting),
+        "ticks": 0,  # stepped by step_tick, not the run loop
+        "skipped": 0,
     }
     # the scenario reaches what it claims to
     now = 1
@@ -523,6 +529,278 @@ def test_dynamic_runs_park_and_unpark_identically(timeline, monkeypatch):
         assert walked.metrics.delivered == other.metrics.delivered
 
 
+# ----------------------------------------------------------------------
+# the native run loop vs Engine.run
+# ----------------------------------------------------------------------
+def _gtd_engine(graph, timeline=None):
+    from repro.dynamics.engine import FlatDynamicEngine
+
+    if timeline is None:
+        return FlatEngine(graph, _gtd_processors(graph))
+    return FlatDynamicEngine(graph, _gtd_processors(graph), timeline)
+
+
+def _terminal(engine):
+    root = engine.processors[engine.root]
+    return lambda: root.terminal
+
+
+def _loop_outcome(engine, *, python, max_ticks, until=_terminal, drain=None):
+    """Every observable of one run of ``engine``: through its own loop,
+    or with ``python`` through ``Engine.run`` / ``Engine.run_to_idle``.
+    ``until`` builds the engine's predicate (None: run to idle); the
+    ticks it is evaluated at are part of the outcome."""
+    run = Engine.run if python else type(engine).run
+    to_idle = Engine.run_to_idle if python else type(engine).run_to_idle
+    out = {"until_at": []}
+    check = None
+    if until is not None:
+        predicate = until(engine)
+
+        def check():
+            out["until_at"].append(engine.tick)
+            return predicate()
+
+    try:
+        out["ticks"] = run(engine, max_ticks=max_ticks, until=check)
+        if drain is not None:
+            out["drained"] = to_idle(engine, max_ticks=drain)
+    except TickBudgetExceeded as exc:
+        out["budget"] = exc.ticks
+    metrics = engine.metrics
+    out.update(
+        tick=engine.tick,
+        transcript=transcript_bytes(engine.transcript),
+        emitted=dict(metrics.emitted),
+        delivered=dict(metrics.delivered),
+        wheel=_wheel_entries(engine),
+        registers=[p.state_snapshot() for p in engine.processors],
+        applied=list(getattr(engine, "applied_mutations", ())),
+        lost=getattr(engine, "lost_characters", 0),
+    )
+    return out
+
+
+def _same_loops(make, **run):
+    """Run two engines from ``make()``, one through the native loop and
+    one through ``Engine.run``; assert they agree on everything and return
+    the native side's outcome and counters."""
+    native_eng, python_eng = make(), make()
+    native_out = _loop_outcome(native_eng, python=False, **run)
+    python_out = _loop_outcome(python_eng, python=True, **run)
+    assert native_out == python_out
+    counters = native_eng.stepper_counters()
+    assert counters["ticks"] > 0  # the native loop ran ...
+    assert python_eng.stepper_counters()["ticks"] == 0  # ... and only there
+    return native_out, counters
+
+
+def _stepped_ticks(graph, max_ticks):
+    """The ticks ``Engine.run`` steps on a static GTD run of ``graph``."""
+    eng = _gtd_engine(graph)
+    stepped = []
+    step = eng.step_tick
+
+    def record():
+        step()
+        stepped.append(eng.tick)
+
+    eng.step_tick = record
+    Engine.run(eng, max_ticks=max_ticks, until=_terminal(eng))
+    return stepped
+
+
+@needs_native
+@pytest.mark.parametrize("family", sorted(FAMILY_BUILDERS))
+def test_the_native_loop_runs_every_family_like_engine_run(family):
+    graph = build_family(family, 8, 1)
+    budget = default_tick_budget(graph, diameter(graph))
+    out, counters = _same_loops(
+        lambda: _gtd_engine(graph), max_ticks=budget, drain=budget + 1000
+    )
+    assert "budget" not in out and out["drained"] >= out["ticks"]
+    # every tick of the clock was either stepped or skipped by the loop
+    assert counters["ticks"] + counters["skipped"] == out["drained"]
+
+
+@needs_native
+def test_the_native_loop_runs_to_idle_without_until():
+    graph = generators.de_bruijn(2, 3)
+    out, _ = _same_loops(lambda: _gtd_engine(graph), max_ticks=10**6, until=None)
+    assert out["ticks"] > 0 and not out["wheel"]
+
+
+@needs_native
+@pytest.mark.parametrize("budget", [1, 2, 97, 500, 1234, 1701])
+def test_a_budget_running_out_mid_traffic_leaves_the_same_tick(budget):
+    graph = generators.de_bruijn(2, 3)
+    out, _ = _same_loops(lambda: _gtd_engine(graph), max_ticks=budget)
+    assert out["budget"] == budget and out["tick"] == budget
+
+
+@needs_native
+def test_a_budget_can_end_inside_a_fast_forward_gap():
+    graph = generators.de_bruijn(2, 3)
+    stepped = _stepped_ticks(graph, 10**6)
+    # two ticks into a gap: the fast-forward toward its end is capped
+    budget = next(a + 2 for a, t in zip(stepped, stepped[1:]) if t - a > 2)
+    assert budget - 1 not in stepped and budget not in stepped
+    out, _ = _same_loops(lambda: _gtd_engine(graph), max_ticks=budget)
+    assert out["budget"] == budget and out["tick"] == budget
+
+
+@needs_native
+def test_a_budget_running_out_by_the_dead_network_jump():
+    """``until`` never holds: the network finishes, goes dead, and the
+    clock jumps straight to the budget."""
+    graph = generators.de_bruijn(2, 3)
+    budget = 50_000
+    out, counters = _same_loops(
+        lambda: _gtd_engine(graph), max_ticks=budget, until=lambda eng: lambda: False
+    )
+    assert out["budget"] == budget and out["tick"] == budget
+    assert not out["wheel"]
+    assert counters["ticks"] + counters["skipped"] == budget
+    assert counters["skipped"] > budget // 2
+
+
+@needs_native
+def test_a_drain_budget_runs_out_one_dead_tick_at_a_time():
+    """``run_to_idle`` on a dead network that is not idle steps the clock
+    one tick at a time to its budget (no jump)."""
+    graph = generators.de_bruijn(2, 3)
+    budget = default_tick_budget(graph, diameter(graph))
+    ends = []
+    for to_idle in (FlatEngine.run_to_idle, Engine.run_to_idle):
+        eng = _gtd_engine(graph)
+        eng.run(max_ticks=budget, until=_terminal(eng))
+        start = eng.run_to_idle(max_ticks=budget)
+        eng._active.live.add(3)  # resting, with nothing ever due
+        before = eng.stepper_counters()
+        with pytest.raises(TickBudgetExceeded):
+            to_idle(eng, max_ticks=start + 40)
+        after = eng.stepper_counters()
+        ends.append((eng.tick - start, after["skipped"] - before["skipped"]))
+        assert after["ticks"] == before["ticks"]
+    assert ends == [(40, 40), (40, 0)]
+
+
+def _two_wires(graph):
+    """Two wires leaving non-root nodes (cutting one parks its sender)."""
+    wires = [w for w in graph.wires() if w.src != 0]
+    return wires[0], next(w for w in wires if w.src != wires[0].src)
+
+
+@needs_native
+def test_wire_ops_inside_fast_forward_gaps_and_on_one_tick():
+    from repro.dynamics.engine import WireMutation
+
+    graph = generators.de_bruijn(2, 3)
+    stepped = _stepped_ticks(graph, 10**6)
+    gaps = [a + 1 for a, t in zip(stepped, stepped[1:]) if t - a > 2]
+    assert len(gaps) >= 4
+    skipped = set(range(stepped[-1])) - set(stepped)
+    a, b = _two_wires(graph)
+    ops = [
+        WireMutation(gaps[0], "cut", a),
+        WireMutation(gaps[1], "heal", a),
+        # several ops on one tick, applied in declared order
+        WireMutation(gaps[2], "cut", a),
+        WireMutation(gaps[2], "cut", b),
+        WireMutation(gaps[2], "heal", a),
+        WireMutation(gaps[3], "heal", b),
+    ]
+    assert {op.tick for op in ops} <= skipped
+    budget = 3 * stepped[-1]
+    out, _ = _same_loops(lambda: _gtd_engine(graph, ops), max_ticks=budget, drain=budget)
+    assert out["applied"] == ops
+
+
+@needs_native
+def test_a_wire_op_exactly_at_the_budget_applies():
+    from repro.dynamics.engine import WireMutation
+
+    graph = generators.de_bruijn(2, 3)
+    a, _ = _two_wires(graph)
+    budget = 1500
+    ops = [WireMutation(100, "cut", a), WireMutation(budget, "heal", a)]
+    out, _ = _same_loops(lambda: _gtd_engine(graph, ops), max_ticks=budget)
+    assert out["budget"] == budget and out["tick"] == budget
+    assert out["applied"] == ops
+
+
+@needs_native
+@pytest.mark.parametrize("timeline", ["cut@0.3+heal@0.5", "churn:rate=0.3,period=0.2"])
+def test_a_park_unpark_timeline_runs_like_engine_run(timeline):
+    from repro.dynamics import compile_timeline
+
+    graph = build_family("spare-ring", 10, 1)
+    program = compile_timeline(timeline, graph, seed=1)
+    budget = program.horizon * 3 + 1000
+    out, _ = _same_loops(
+        lambda: _gtd_engine(graph, program), max_ticks=budget, drain=budget + 1000
+    )
+    assert out["applied"] and out["applied"] == list(program.ops)
+
+
+@needs_native
+@pytest.mark.parametrize("calls", [1, 2, 40, 300])
+def test_an_until_that_raises_leaves_the_same_tick(calls):
+    graph = generators.de_bruijn(2, 3)
+
+    def until(eng):
+        count = []
+
+        def check():
+            count.append(1)
+            if len(count) == calls:
+                raise ReproError(f"until failed at tick {eng.tick}")
+            return False
+
+        return check
+
+    failures = []
+    for python in (False, True):
+        eng = _gtd_engine(graph)
+        with pytest.raises(ReproError) as info:
+            _loop_outcome(eng, python=python, max_ticks=10**5, until=until)
+        failures.append((str(info.value), eng.tick, transcript_bytes(eng.transcript)))
+    assert failures[0] == failures[1]
+
+
+@needs_native
+def test_a_handler_that_raises_leaves_the_same_tick():
+    graph = generators.de_bruijn(2, 3)
+
+    def boom(in_port, code):
+        raise ReproError("handler failed")
+
+    failures = []
+    for python in (False, True):
+        eng = _gtd_engine(graph)
+        eng._chandlers[1] = [boom] * len(eng._chandlers[1])
+        with pytest.raises(ReproError, match="handler failed"):
+            _loop_outcome(eng, python=python, max_ticks=10**5)
+        failures.append((eng.tick, transcript_bytes(eng.transcript)))
+    assert failures[0] == failures[1] and failures[0][0] > 0
+
+
+@needs_native
+def test_a_tracer_keeps_the_python_loop():
+    from repro.sim.tracer import EventTrace
+
+    graph = generators.de_bruijn(2, 3)
+    outs, traces = [], []
+    for python in (False, True):
+        eng = _gtd_engine(graph)
+        eng.tracer = EventTrace()
+        outs.append(_loop_outcome(eng, python=python, max_ticks=10**5, drain=10**5))
+        traces.append(list(eng.tracer.events()))
+        assert eng.stepper_counters()["ticks"] == 0
+    assert outs[0] == outs[1]
+    assert traces[0] == traces[1] and traces[0]
+
+
 @needs_native
 @pytest.mark.skipif(not have_numpy(), reason="numpy not installed (the [batch] extra)")
 def test_batch_lanes_walk_natively_and_equal_solo_runs():
@@ -587,9 +865,10 @@ def test_cli_map_traffic_prints_the_stepper_counters(tmp_path, capsys):
     fields = dict(field.split("=") for field in lines[0].split(": ")[1].split())
     assert list(fields) == [
         "rows", "escapes", "deliver_other", "object_lanes", "kills",
-        "kill_escapes", "purges",
+        "kill_escapes", "purges", "ticks", "skipped",
     ]
     assert int(fields["rows"]) > 0 and int(fields["kills"]) > 0
+    assert int(fields["ticks"]) > 0 and int(fields["skipped"]) > 0
     assert (tmp_path / "plain.json").read_text() == (tmp_path / "traffic.json").read_text()
 
 
