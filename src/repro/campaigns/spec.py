@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 
 from repro.dynamics.timeline import PerturbationTimeline, parse_timeline
 from repro.errors import ReproError
-from repro.sim.run import DEFAULT_BACKEND, check_backend
+from repro.sim.run import DEFAULT_BACKEND, RETIRED_BACKENDS, check_backend
 from repro.topology import generators
 from repro.topology.portgraph import PortGraph
 
@@ -349,6 +349,9 @@ class Scenario:
     (when non-default) so stores keep per-backend cells distinct: a
     benchmark matrix must never silently satisfy a flat-backend run with a
     stored object-backend record, or the wall-clock comparison is void.
+    A retired backend name (:data:`~repro.sim.run.RETIRED_BACKENDS`) is
+    accepted so stored records keep loading under their original hash;
+    running such a scenario is refused.
     """
 
     family: str
@@ -359,7 +362,8 @@ class Scenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fault", str(parse_fault(self.fault)))
-        check_backend(self.backend)
+        if self.backend not in RETIRED_BACKENDS:
+            check_backend(self.backend)
 
     @property
     def label(self) -> str:

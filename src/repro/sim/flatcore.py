@@ -664,7 +664,7 @@ class FlatEngine(Engine):
 
         Same answer, two fewer method calls per event tick — this runs
         once per fast-forward step of the Python loop (closure fallback,
-        tracer runs, ``after_tick`` hooks, batch lanes), which dominates
+        tracer runs, ``after_tick`` hooks), which dominates
         sparse-traffic runs; ``Stepper.run`` makes the same search in C.
         """
         wheel = self._wheel

@@ -6,7 +6,7 @@ closure dispatch it falls back to.  These tests pin the native walk to
 both the tensor (every row, executed one delivery at a time, against the
 object-path oracle of ``tests/test_kernel.py``) and the closure path
 (byte-identical transcripts, ticks and hops on every registered family,
-dynamic runs that park and unpark nodes, batch lanes), pin the native
+dynamic runs that park and unpark nodes), pin the native
 run loop to ``Engine.run`` on an identical engine (ticks, budgets, wire
 ops, exceptions, tracers), and exercise the build cache: stale and
 corrupt builds, a failing compiler, an unwritable cache, and concurrent
@@ -37,7 +37,6 @@ from repro.protocol.bca import run_single_bca
 from repro.protocol.rca import run_single_rca
 from repro.protocol.runner import default_tick_budget, determine_topology
 from repro.sim import characters, native
-from repro.sim.batchcore import have_numpy
 from repro.sim.characters import (
     SCOPE_BCA,
     SCOPE_RCA,
@@ -799,32 +798,6 @@ def test_a_tracer_keeps_the_python_loop():
         assert eng.stepper_counters()["ticks"] == 0
     assert outs[0] == outs[1]
     assert traces[0] == traces[1] and traces[0]
-
-
-@needs_native
-@pytest.mark.skipif(not have_numpy(), reason="numpy not installed (the [batch] extra)")
-def test_batch_lanes_walk_natively_and_equal_solo_runs():
-    from repro.protocol.gtd import GTDProcessor
-    from repro.sim.batchcore import BatchEngine, LaneRun
-
-    graph = generators.de_bruijn(2, 4)
-    solo = determine_topology(graph, backend="flat")
-    eng = BatchEngine(graph, [GTDProcessor() for _ in graph.nodes()], lanes=3)
-    assert all(lane._stepper is not None for lane in eng.lane_engines)
-    outs = eng.run_lanes(
-        [
-            LaneRun(
-                max_ticks=20000,
-                until=(lambda p=lane.processors[eng.root]: p.terminal),
-                drain=True,
-            )
-            for lane in eng.lane_engines
-        ]
-    )
-    for out, lane in zip(outs, eng.lane_engines):
-        assert out.error is None
-        assert out.ticks == solo.ticks
-        assert transcript_bytes(lane.transcript) == transcript_bytes(solo.transcript)
 
 
 def test_engines_fall_back_to_closure_dispatch_with_the_reason(monkeypatch):

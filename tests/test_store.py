@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -453,6 +454,105 @@ class TestBaseline:
         committed = repo_root / "benchmarks" / "baselines" / "BENCH_e13.json"
         report = compare_files(committed, committed, threshold=0.35)
         assert report.ok and len(report.rows) >= 3
+
+
+# ----------------------------------------------------------------------
+# historical records of the retired ``batch`` backend
+# ----------------------------------------------------------------------
+#: One ``backend="batch"`` record, verbatim as the store wrote it while
+#: that backend still ran (directed-ring(4), no fault, seed 0).
+BATCH_KEY = "d4631f127df449ee447eb986affa8b54e9f862118efcf7e00a1d0d6a47df3b2f"
+BATCH_LINE = (
+    '{"key":"d4631f127df449ee447eb986affa8b54e9f862118efcf7e00a1d0d6a47df3b2f",'
+    '"result":{"bca_runs":4,"by_family":[["BACK",12],["BD",40],["BDONE",16],'
+    '["BG",56],["DFS",4],["FWD",12],["ID",40],["IG",32],["KILL",40],["OD",20],'
+    '["OG",52],["UNMARK",40]],"diameter":3,"drained_ticks":449,"episodes":['
+    '{"dist_from_root":1,"dist_to_root":3,"end_tick":46,"start_tick":12,'
+    '"token":"FWD"},{"dist_from_root":2,"dist_to_root":2,"end_tick":92,'
+    '"start_tick":56,"token":"FWD"},{"dist_from_root":3,"dist_to_root":1,'
+    '"end_tick":138,"start_tick":100,"token":"FWD"},{"dist_from_root":3,'
+    '"dist_to_root":1,"end_tick":228,"start_tick":190,"token":"BACK"},'
+    '{"dist_from_root":2,"dist_to_root":2,"end_tick":316,"start_tick":280,'
+    '"token":"BACK"},{"dist_from_root":1,"dist_to_root":3,"end_tick":404,'
+    '"start_tick":370,"token":"BACK"}],"error":"","error_digest":"","hops":364,'
+    '"lost_characters":0,"num_nodes":4,"num_wires":4,"outcome":"exact",'
+    '"phase":"","rca_runs":6,"scenario":{"backend":"batch",'
+    '"family":"directed-ring","fault":"none","seed":0,"size":4},"ticks":448}}'
+)
+
+
+class TestRetiredBatchBackend:
+    @pytest.fixture
+    def batch_store(self, tmp_path):
+        root = tmp_path / "run"
+        ResultStore(root)  # lays out the manifest and the shard directory
+        (root / "shards" / f"{BATCH_KEY[:2]}.jsonl").write_text(BATCH_LINE + "\n")
+        return root
+
+    def test_stored_batch_cell_loads_under_its_hash(self, batch_store):
+        store = ResultStore(batch_store)
+        assert store.keys() == [BATCH_KEY]
+        result = store.get(BATCH_KEY)
+        assert result.scenario.backend == "batch"
+        assert result.scenario.spec_hash() == BATCH_KEY
+        assert store.get(Scenario("directed-ring", 4, backend="batch")) == result
+        # re-serializing gives back the stored record unchanged
+        assert result_to_doc(result) == json.loads(BATCH_LINE)["result"]
+        assert store.stats().scenarios == 1
+
+    def test_stored_batch_cell_verifies_clean(self, batch_store, capsys):
+        report = verify_result_store(batch_store)
+        assert report.ok and report.records == 1 and report.keys == 1
+        assert main(["store", str(batch_store), "--verify"]) == 0
+        assert "0 corrupt record(s)" in capsys.readouterr().out
+        assert main(["store", str(batch_store), "--json", "-"]) == 0
+        stats_line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert json.loads(stats_line)["scenarios"] == 1
+
+    def test_resume_into_a_store_holding_a_batch_cell(self, batch_store, capsys):
+        argv = ["campaign", "--families", "directed-ring", "--sizes", "4",
+                "--backend", "flat", "--resume", str(batch_store)]
+        assert main(argv) == 0
+        assert "reused 0 stored scenario(s), ran 1 fresh" in capsys.readouterr().out
+        store = ResultStore(batch_store)
+        flat = store.get(Scenario("directed-ring", 4, backend="flat"))
+        batch = store.get(BATCH_KEY)
+        # the removed backend produced exactly what flat produces
+        assert dataclasses.replace(batch, scenario=flat.scenario) == flat
+
+    def test_running_a_batch_cell_is_refused(self, batch_store):
+        from repro.protocol.runner import determine_topology
+        from repro.sim.run import check_backend
+
+        scenario = Scenario("directed-ring", 4, backend="batch")
+        for attempt in (
+            lambda: check_backend("batch"),
+            lambda: CampaignSpec(("directed-ring",), (4,), backends=("batch",)),
+            lambda: run_campaign([scenario]),
+            lambda: run_campaign([scenario], store=batch_store),
+            lambda: determine_topology(scenario.build_graph(), backend="batch"),
+        ):
+            with pytest.raises(ReproError, match="'batch' was removed"):
+                attempt()
+        # refused before dispatch: nothing was quarantined into the store
+        assert (batch_store / "shards" / f"{BATCH_KEY[:2]}.jsonl").read_text() == (
+            BATCH_LINE + "\n"
+        )
+
+    def test_cli_rejects_backend_batch(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--families", "directed-ring", "--sizes", "4",
+                  "--backend", "batch"])
+        assert exc.value.code != 0
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
+
+    def test_object_and_flat_hashes_unchanged(self):
+        assert Scenario("directed-ring", 4).spec_hash() == (
+            "8b0a68b44f78a522dc9d13c681fccc0ab02c11d8fd0630fcce1d7e4b7c7255eb"
+        )
+        assert Scenario("directed-ring", 4, backend="flat").spec_hash() == (
+            "5e633dd35d966c8946fb5f8aed8eae20c4a0411ac52f2af33e289d2587fd8804"
+        )
 
 
 # ----------------------------------------------------------------------
